@@ -27,30 +27,19 @@ from shbreg import (
     bound_check,
     enumerate_expectation,
     monte_carlo,
+    random_instance,
     rate_bound,
     source_condition_construct,
     stability_bound,
     stability_gap_ensemble,
 )
-from shbreg.problems import ProblemInstance
-
-
-def random_problem(p, m, seed):
-    rng = np.random.Generator(np.random.Philox(np.random.SeedSequence(seed)))
-    grid = Grid.uniform(0.0, 1.0, m)
-    bundle = OperatorBundle(rows=tuple(
-        RowOperator(rng.standard_normal(m), grid) for _ in range(p)))
-    truth = rng.standard_normal(m)
-    return ProblemInstance(name="demo", grid=grid,
-                           sample_points=np.arange(p, dtype=float), bundle=bundle,
-                           truth=truth, exact_data=bundle.apply_all(truth))
 
 
 def main():
     policy = StepPolicy.constant(0.6)
 
     # 1. sampler vs enumeration
-    problem = random_problem(3, 8, seed=60)
+    problem = random_instance(3, 8, seed=60)
     data = add_noise(problem, 0.05, seed=1)
     exact = enumerate_expectation(problem, data, policy, 4)
     spec = RunSpec(problem=problem, policy=policy, n_iters=4, data=data,
@@ -60,7 +49,7 @@ def main():
     print(f"1. sampler vs enumeration: max deviation {np.nanmax(sigmas[1:]):.2f} sigma")
 
     # 2. noise propagation
-    problem = random_problem(5, 16, seed=61)
+    problem = random_instance(5, 16, seed=61)
     data = add_noise(problem, 1e-2, seed=2)
     constants = RateConstants.for_policy(problem.bundle, policy)
     gap = stability_gap_ensemble(problem, data, policy, n_iters=400, n_runs=100,

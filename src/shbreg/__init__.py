@@ -15,28 +15,22 @@ from .problems import (
     add_noise,
     build_example1,
     build_example2,
+    random_instance,
     to_text,
 )
 from .solvers import (
     RateConstants,
-    SolverState,
     StepPolicy,
     a_priori_stop,
     index_stream,
     rate_bound,
     run,
-    sgd_step,
-    shb_step_ima,
-    shb_step_twostep,
     stability_bound,
     step_coefficients,
-    step_size,
 )
 from .mirror import (
-    DualState,
     Regularizer,
     bregman_distance,
-    dual_step,
     mirror_map,
     rate_envelope,
     run_mirror,

@@ -15,7 +15,7 @@ import numpy as np
 
 from .linops import Grid, OperatorBundle, RowOperator
 from .mirror import Regularizer
-from .problems import ProblemInstance, add_noise, build_example1, build_example2
+from .problems import add_noise, build_example1, build_example2, random_instance
 from .solvers import RateConstants, StepPolicy, rate_bound, stability_bound
 from .harness import (
     RunSpec,
@@ -87,69 +87,43 @@ def _base_seed(args, k, j=0):
     return args.seed * 1_000_003 + 101 * k + 11 + j
 
 
-def _random_instance(p, m, seed):
-    """Dense random rows on a unit-interval grid, plus a random truth."""
-    rng = np.random.Generator(np.random.Philox(np.random.SeedSequence((seed, 0))))
-    grid = Grid.uniform(0.0, 1.0, m)
-    bundle = OperatorBundle(rows=tuple(
-        RowOperator(rng.standard_normal(m), grid) for _ in range(p)))
-    truth = rng.standard_normal(m)
-    return ProblemInstance(name=f"random-{p}x{m}", grid=grid,
-                           sample_points=np.arange(p, dtype=float), bundle=bundle,
-                           truth=truth, exact_data=bundle.apply_all(truth))
-
-
-def cmd_example1(args):
-    problem = build_example1(args.p, args.m)
+def _ensembles(args, problem, tag, labels, title, norm_scope="row", **spec_fields):
+    """Constant-step ensembles at every noise level, plus gated ones with
+    ``--policy dp``: one CSV per (level, label) and one SVG overlay."""
     os.makedirs(args.out, exist_ok=True)
-    policies = ["const"] + (["dp"] if args.policy == "dp" else [])
-    curves = []
-    for k, level in enumerate(args.levels):
-        data = add_noise(problem, level, seed=_noise_seed(args, k))
-        for j, name in enumerate(policies):
-            if name == "const":
-                policy = StepPolicy.constant(args.mu0)
-            else:
-                policy = StepPolicy.discrepancy(args.mu0, args.tau, data.per_eq_levels)
-            spec = RunSpec(problem=problem, policy=policy, n_iters=args.iters, data=data)
-            result = monte_carlo(spec, args.runs, base_seed=_base_seed(args, k, j))
-            path = os.path.join(args.out, f"ex1_{level:g}_{name}.csv")
-            write_csv(result, path)
-            stats = semi_convergence_stats(result)
-            print(f"{path}: err_min={stats.err_min:.3e}@{stats.n_min} "
-                  f"err_final={stats.err_final:.3e}")
-            curves.append((f"{level:g} {name}", result.iters, result.mean_sq_rel_err))
-    line_plot_svg(os.path.join(args.out, "ex1.svg"), curves,
-                  title="heavy-ball ensembles, raised-cosine benchmark")
-    return 0
-
-
-def cmd_example2(args):
-    problem = build_example2(args.p)
-    regularizer = Regularizer.entropy_on_simplex(problem.grid)
-    os.makedirs(args.out, exist_ok=True)
-    labels = ["entropy"] + (["entropy-DP"] if args.policy == "dp" else [])
+    labels = labels if args.policy == "dp" else labels[:1]
     curves = []
     for k, level in enumerate(args.levels):
         data = add_noise(problem, level, seed=_noise_seed(args, k))
         for j, name in enumerate(labels):
-            if name == "entropy":
-                policy = StepPolicy.constant(args.mu0, norm_scope="full")
+            if j == 0:
+                policy = StepPolicy.constant(args.mu0, norm_scope=norm_scope)
             else:
                 policy = StepPolicy.discrepancy(args.mu0, args.tau, data.per_eq_levels,
-                                                norm_scope="full")
+                                                norm_scope=norm_scope)
             spec = RunSpec(problem=problem, policy=policy, n_iters=args.iters, data=data,
-                           metric="l1", regularizer=regularizer)
+                           **spec_fields)
             result = monte_carlo(spec, args.runs, base_seed=_base_seed(args, k, j))
-            path = os.path.join(args.out, f"ex2_{level:g}_{name}.csv")
+            path = os.path.join(args.out, f"{tag}_{level:g}_{name}.csv")
             write_csv(result, path)
             stats = semi_convergence_stats(result)
             print(f"{path}: err_min={stats.err_min:.3e}@{stats.n_min} "
                   f"err_final={stats.err_final:.3e}")
             curves.append((f"{level:g} {name}", result.iters, result.mean_sq_rel_err))
-    line_plot_svg(os.path.join(args.out, "ex2.svg"), curves,
-                  title="entropy-regularized ensembles, density benchmark")
+    line_plot_svg(os.path.join(args.out, f"{tag}.svg"), curves, title=title)
     return 0
+
+
+def cmd_example1(args):
+    return _ensembles(args, build_example1(args.p, args.m), "ex1", ("const", "dp"),
+                      "heavy-ball ensembles, raised-cosine benchmark")
+
+
+def cmd_example2(args):
+    problem = build_example2(args.p)
+    return _ensembles(args, problem, "ex2", ("entropy", "entropy-DP"),
+                      "entropy-regularized ensembles, density benchmark", norm_scope="full",
+                      metric="l1", regularizer=Regularizer.entropy_on_simplex(problem.grid))
 
 
 def cmd_compare_sgd(args):
@@ -176,7 +150,7 @@ def cmd_compare_sgd(args):
 
 
 def cmd_oracle_check(args):
-    problem = _random_instance(args.p, args.m, args.seed)
+    problem = random_instance(args.p, args.m, args.seed)
     data = add_noise(problem, args.levels[0], seed=_noise_seed(args, 0))
     policy = StepPolicy.constant(args.mu0)
     worst = 0.0
@@ -195,7 +169,7 @@ def cmd_oracle_check(args):
 
 
 def cmd_stability_check(args):
-    problem = _random_instance(args.p, args.m, args.seed)
+    problem = random_instance(args.p, args.m, args.seed)
     data = add_noise(problem, args.levels[0], seed=_noise_seed(args, 0))
     policy = StepPolicy.constant(args.mu0)
     constants = RateConstants.for_policy(problem.bundle, policy)

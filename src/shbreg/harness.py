@@ -129,6 +129,8 @@ class EnsembleResult:
     def __post_init__(self):
         if not (self.iters.shape == self.mean_sq_rel_err.shape == self.std_err.shape):
             raise ValueError("result vectors must share one length")
+        if not (np.isfinite(self.mean_sq_rel_err).all() and np.isfinite(self.std_err).all()):
+            raise ValueError("squared errors and standard errors must be finite")
         if np.any(self.mean_sq_rel_err < 0) or np.any(self.std_err < 0):
             raise ValueError("squared errors and standard errors are nonnegative")
 

@@ -13,21 +13,26 @@ strongly convex regularizer R.  Two regularizers are provided:
   mirror map is the shift x0 + xi, which reduces the dual iteration exactly
   to the primal momentum iteration started at x0.
 
-Progress toward the truth is measured with the Bregman distance of R.
+The dual iteration has no loop of its own: :func:`run_mirror` validates its
+inputs and steps through the same code as :func:`shbreg.solvers.run`, with
+the mirror map as the read-out.  Progress toward the truth is measured with
+the Bregman distance of R.
 """
 
+import functools
 import math
 
 import numpy as np
 from dataclasses import dataclass
 
-from .solvers import _data_vector, index_stream, resolve_base_steps, step_coefficients
+from .solvers import _drive, _prepare
+# not called here: run_mirror draws through solvers.index_stream.  The name
+# stays importable because bench/tracing.py patches it.
+from .solvers import index_stream  # noqa: F401
 
 __all__ = [
     "Regularizer",
     "mirror_map",
-    "DualState",
-    "dual_step",
     "bregman_distance",
     "rate_envelope",
     "run_mirror",
@@ -89,33 +94,6 @@ def mirror_map(reg, xi):
     return shifted / reg.grid.integrate(shifted)
 
 
-@dataclass(frozen=True)
-class DualState:
-    """Dual iterate pair and the primal read-out x = grad R*(xi_cur)."""
-
-    xi_cur: np.ndarray
-    xi_prev: np.ndarray
-    x: np.ndarray
-    n: int
-
-    @classmethod
-    def start(cls, reg):
-        zero = np.zeros(reg.grid.m)
-        return cls(xi_cur=zero, xi_prev=zero.copy(), x=mirror_map(reg, zero), n=0)
-
-
-def dual_step(state, reg, row, y_i, eta):
-    """One heavy-ball step on the dual variable, then refresh the primal."""
-    if eta < 0:
-        raise ValueError("step size must be nonnegative")
-    alpha, beta = step_coefficients(state.n)
-    residual = row.apply(state.x) - y_i
-    xi_new = state.xi_cur - alpha * eta * residual * row.kernel_row \
-        + beta * (state.xi_cur - state.xi_prev)
-    return DualState(xi_cur=xi_new, xi_prev=state.xi_cur, x=mirror_map(reg, xi_new),
-                     n=state.n + 1)
-
-
 def bregman_distance(reg, x_bar, x):
     """Bregman distance D(x_bar, x) of the regularizer.
 
@@ -152,62 +130,29 @@ def rate_envelope(n, p, total_level, m0):
 def run_mirror(problem, data, reg, policy, n_iters, seed=0, observer=None, index_path=None):
     """Drive the dual iteration for ``n_iters`` random-row steps.
 
-    The same contract as :func:`shbreg.solvers.run` (observer at every
-    iterate including n = 0 on a live buffer, replayable ``index_path``,
-    deterministic given the seed), with the dual update carried in
-    moving-average form and the primal refreshed through the mirror map
-    after every step.  Full-scope constant policies are checked against the
-    admissible budget ``mu0 < 2 * mu``; row-scope policies are accepted
-    unchecked, which is how the quadratic regularizer reproduces the primal
-    solver on its own per-row steps.
+    The same contract and the same step loop as :func:`shbreg.solvers.run`
+    (observer at every iterate including n = 0 on a live buffer, replayable
+    ``index_path``, deterministic given the seed, the same validation before
+    the first step): the momentum update is carried in moving-average form
+    on the dual variable, which starts at zero, and the primal iterate is
+    read off through :func:`mirror_map` after every step.  Full-scope
+    policies are checked against the admissible budget ``mu0 < 2 * mu``;
+    row-scope policies are accepted unchecked, which is how the quadratic
+    regularizer reproduces the primal solver on its own per-row steps.
+
+    Raises
+    ------
+    ValueError
+        When the regularizer and the problem do not share one grid, on a
+        full-scope ``mu0 >= 2 * mu``, and on every input :func:`run` rejects
+        apart from its variant, ``mu0`` and initial-guess checks.
     """
-    if n_iters < 0:
-        raise ValueError("iteration count must be nonnegative")
     if reg.grid is not problem.grid:
         raise ValueError("regularizer and problem must share the grid")
     if policy.norm_scope == "full" and policy.mu0 >= 2 * reg.mu:
         raise ValueError("dual steps need mu0 < 2 * mu for this regularizer")
-    y = _data_vector(problem, data)
-    bundle = problem.bundle
-    base = resolve_base_steps(policy, bundle)
-    if index_path is None:
-        idx = index_stream(seed, bundle.p, n_iters)
-    else:
-        idx = np.asarray(index_path, dtype=np.intp)
-        if idx.size and (idx.min() < 0 or idx.max() >= bundle.p):
-            raise ValueError("index path entries must lie in [0, p)")
-        n_iters = idx.size
-    gate = policy.is_discrepancy
-    if gate:
-        levels = policy.per_eq_levels
-        tau = policy.tau
-    K = bundle.kernel_matrix
-    Kw = bundle.weighted_kernel_matrix
-
-    xi = np.zeros(problem.m)
-    zeta = np.zeros(problem.m)
-    x = mirror_map(reg, xi)
-
-    collected = []
-
-    def emit(n, current):
-        if observer is None:
-            collected.append(current.copy())
-        else:
-            value = observer(n, current)
-            if value is not None:
-                collected.append(value)
-
-    emit(0, x)
-    for n in range(n_iters):
-        i = idx[n]
-        residual = Kw[i] @ x - y[i]
-        eta = base[i]
-        if gate and abs(residual) <= tau * levels[i]:
-            eta = 0.0
-        if eta != 0.0:
-            zeta = zeta - (eta * residual) * K[i]
-        xi = ((n + 1.0) * xi + zeta) / (n + 2.0)
-        x = mirror_map(reg, xi)
-        emit(n + 1, x)
-    return collected
+    prepared = _prepare(problem, data, policy, n_iters, seed, index_path)
+    # mirror_map is looked up at call time, so a replacement installed on this
+    # module (bench/tracing.py counts its calls) is the one the loop calls
+    return _drive(problem, prepared, np.zeros(problem.m), True,
+                  functools.partial(mirror_map, reg), observer)

@@ -13,13 +13,14 @@ import io
 import numpy as np
 from dataclasses import dataclass
 
-from .linops import Grid, OperatorBundle, _frozen_array
+from .linops import Grid, OperatorBundle, RowOperator, _frozen_array
 
 __all__ = [
     "ProblemInstance",
     "NoisyData",
     "build_example1",
     "build_example2",
+    "random_instance",
     "add_noise",
     "to_text",
 ]
@@ -51,6 +52,9 @@ class ProblemInstance:
             raise ValueError("truth must be sampled on the grid")
         if self.exact_data.shape != (self.bundle.p,):
             raise ValueError("exact data must have one entry per equation")
+        if not (np.isfinite(self.truth).all() and np.isfinite(self.exact_data).all()):
+            # the consistency check below cannot see NaN: every comparison is False
+            raise ValueError("truth and exact data must be finite")
         recomputed = self.bundle.apply_all(self.truth)
         scale = 1.0 + np.abs(recomputed)
         if np.any(np.abs(recomputed - self.exact_data) > 1e-12 * scale):
@@ -84,6 +88,8 @@ class NoisyData:
         object.__setattr__(self, "per_eq_levels", _frozen_array(self.per_eq_levels))
         if self.values.shape != self.per_eq_levels.shape:
             raise ValueError("values and per-equation levels must align")
+        if not np.isfinite(self.values).all():
+            raise ValueError("data values must be finite")
         aggregate = float(np.sqrt(np.sum(self.per_eq_levels**2)))
         if abs(self.total_level - aggregate) > 1e-12 * (1.0 + aggregate):
             raise ValueError("total noise level must aggregate the per-equation levels")
@@ -155,6 +161,20 @@ def build_example2(p):
         truth=truth,
         exact_data=bundle.apply_all(truth),
     )
+
+
+def random_instance(p, m, seed):
+    """Small random test instance: ``p`` dense standard-normal rows on an
+    ``m``-node grid over [0, 1] and a standard-normal truth, all drawn from
+    the stream keyed ``(seed, 0)``."""
+    rng = np.random.Generator(np.random.Philox(np.random.SeedSequence((seed, 0))))
+    grid = Grid.uniform(0.0, 1.0, m)
+    bundle = OperatorBundle(rows=tuple(
+        RowOperator(rng.standard_normal(m), grid) for _ in range(p)))
+    truth = rng.standard_normal(m)
+    return ProblemInstance(name=f"random-{p}x{m}", grid=grid,
+                           sample_points=np.arange(p, dtype=float), bundle=bundle,
+                           truth=truth, exact_data=bundle.apply_all(truth))
 
 
 def add_noise(problem, rel_level, seed):

@@ -11,9 +11,13 @@ moving-average form
     z_{n+1} = z_n - eta_i * A_i^*(A_i x_n - y_i),
     x_{n+1} = ((n+1) x_n + z_{n+1}) / (n+2),
 
-which is the production path here (z accumulates the corrections, x is a
+which is the form :func:`run` carries (z accumulates the corrections, x is a
 running average of itself and z).  Setting alpha_n = 1, beta_n = 0 recovers
-plain stochastic gradient steps.  Regularization comes from stopping early:
+plain stochastic gradient steps, x_{n+1} = z_{n+1}.  One step loop serves
+both variants and the dual iteration of :mod:`shbreg.mirror`, which runs the
+same recursion on a dual variable and reads the iterate off through a mirror
+map; the direct two-step form is kept only in the tests
+(``tests/oracle.py``), as the reference the loop is checked against.  Regularization comes from stopping early:
 an a-priori rule maps the noise level to an iteration budget, and a
 discrepancy-principle step-size rule freezes updates on equations whose
 residual has dropped to the noise floor.
@@ -24,15 +28,12 @@ import math
 import numpy as np
 from dataclasses import dataclass
 
+from .problems import NoisyData
+
 __all__ = [
     "step_coefficients",
     "StepPolicy",
     "resolve_base_steps",
-    "step_size",
-    "SolverState",
-    "shb_step_ima",
-    "shb_step_twostep",
-    "sgd_step",
     "index_stream",
     "run",
     "a_priori_stop",
@@ -82,7 +83,7 @@ class StepPolicy:
             if self.per_eq_levels is None:
                 raise ValueError("discrepancy policies need per-equation noise levels")
             levels = np.array(self.per_eq_levels, dtype=float)
-            if np.any(levels < 0):
+            if not np.all(levels >= 0):  # also rejects NaN
                 raise ValueError("noise levels must be nonnegative")
             levels.setflags(write=False)
             object.__setattr__(self, "per_eq_levels", levels)
@@ -111,87 +112,6 @@ def resolve_base_steps(policy, bundle):
     return np.full(bundle.p, policy.mu0 / bundle.full_norm_sq)
 
 
-def step_size(policy, row_index, row, residual_abs, full_norm_sq=None):
-    """Step size for one drawn equation.
-
-    Constant policies always return the base step; discrepancy policies
-    return it only while ``residual_abs`` exceeds ``tau`` times the
-    equation's noise level, and 0 otherwise.  ``full_norm_sq`` must be
-    supplied for full-scope policies, which divide by the bundle norm
-    instead of the row norm.
-    """
-    if residual_abs < 0:
-        raise ValueError("residual magnitude must be nonnegative")
-    if policy.norm_scope == "full":
-        if full_norm_sq is None:
-            raise ValueError("full-scope policies need the bundle norm")
-        norm_sq = full_norm_sq
-    else:
-        norm_sq = row.norm_sq
-    if norm_sq == 0:
-        raise ValueError("cannot form a step size for a zero row")
-    if policy.is_discrepancy and residual_abs <= policy.tau * policy.per_eq_levels[row_index]:
-        return 0.0
-    return policy.mu0 / norm_sq
-
-
-@dataclass(frozen=True)
-class SolverState:
-    """Iterate pair of the momentum recursion plus its moving-average partner.
-
-    The redundancy is deliberate: ``z == x_cur + n * (x_cur - x_prev)`` holds
-    along the iteration (up to rounding), which is what makes the two-step
-    and moving-average forms interchangeable.
-    """
-
-    x_cur: np.ndarray
-    x_prev: np.ndarray
-    z: np.ndarray
-    n: int
-
-    @classmethod
-    def start(cls, x0):
-        x0 = np.asarray(x0, dtype=float)
-        return cls(x_cur=x0.copy(), x_prev=x0.copy(), z=x0.copy(), n=0)
-
-
-def shb_step_ima(state, row, y_i, eta):
-    """One momentum step in moving-average form."""
-    if eta < 0:
-        raise ValueError("step size must be nonnegative")
-    residual = row.apply(state.x_cur) - y_i
-    z_new = state.z - eta * residual * row.kernel_row
-    x_new = ((state.n + 1.0) * state.x_cur + z_new) / (state.n + 2.0)
-    return SolverState(x_cur=x_new, x_prev=state.x_cur, z=z_new, n=state.n + 1)
-
-
-def shb_step_twostep(state, row, y_i, eta, coefficients=None):
-    """One momentum step in the direct two-term form.
-
-    Produces the same trajectory as :func:`shb_step_ima` up to rounding.
-    ``coefficients`` overrides (alpha_n, beta_n), which is how the plain
-    gradient special case (1, 0) is cross-checked.
-    """
-    if eta < 0:
-        raise ValueError("step size must be nonnegative")
-    alpha, beta = step_coefficients(state.n) if coefficients is None else coefficients
-    residual = row.apply(state.x_cur) - y_i
-    x_new = state.x_cur - alpha * eta * residual * row.kernel_row \
-        + beta * (state.x_cur - state.x_prev)
-    z_new = x_new + (state.n + 1.0) * (x_new - state.x_cur)
-    return SolverState(x_cur=x_new, x_prev=state.x_cur, z=z_new, n=state.n + 1)
-
-
-def sgd_step(state, row, y_i, eta):
-    """One plain stochastic gradient step (no momentum)."""
-    if eta < 0:
-        raise ValueError("step size must be nonnegative")
-    residual = row.apply(state.x_cur) - y_i
-    x_new = state.x_cur - eta * residual * row.kernel_row
-    z_new = x_new + (state.n + 1.0) * (x_new - state.x_cur)
-    return SolverState(x_cur=x_new, x_prev=state.x_cur, z=z_new, n=state.n + 1)
-
-
 def index_stream(seed, p, size):
     """The i.i.d. uniform equation draws of a run.
 
@@ -206,11 +126,81 @@ def index_stream(seed, p, size):
 def _data_vector(problem, data):
     if data is None:
         return problem.exact_data
-    values = getattr(data, "values", data)
-    values = np.asarray(values, dtype=float)
+    if isinstance(data, NoisyData):
+        values = data.values  # checked finite when it was built
+    else:
+        values = np.asarray(data, dtype=float)
+        if not np.isfinite(values).all():
+            raise ValueError("data values must be finite")
     if values.shape != (problem.p,):
         raise ValueError("data must have one entry per equation")
     return values
+
+
+def _prepare(problem, data, policy, n_iters, seed, index_path):
+    """Set-up shared by :func:`run` and :func:`shbreg.mirror.run_mirror`.
+
+    Returns ``(y, base, idx, floor)``: the data vector, the per-equation base
+    steps, the row draws (sampled, or the validated ``index_path``) and the
+    gate floor ``tau * per_eq_levels`` (None for constant policies).
+    """
+    if n_iters < 0:
+        raise ValueError("iteration count must be nonnegative")
+    y = _data_vector(problem, data)
+    p = problem.p
+    base = resolve_base_steps(policy, problem.bundle)
+    if index_path is None:
+        idx = index_stream(seed, p, n_iters)
+    else:
+        idx = np.asarray(index_path, dtype=np.intp)
+        if idx.size and (idx.min() < 0 or idx.max() >= p):
+            raise ValueError("index path entries must lie in [0, p)")
+    floor = None
+    if policy.is_discrepancy:
+        if policy.per_eq_levels.shape != (p,):
+            raise ValueError("policy noise levels must have one entry per equation")
+        floor = policy.tau * policy.per_eq_levels
+    return y, base, idx, floor
+
+
+def _drive(problem, prepared, v, momentum, read_out, observer):
+    """The step loop of every solver in the package.
+
+    ``v`` is the starting variable (the primal iterate, or the dual variable
+    of a mirror run) and also starts the accumulator of row corrections.
+    Momentum runs replace ``v`` by the running average of itself and the
+    accumulator; plain-gradient runs take the accumulator itself.  The
+    iterate is ``v``, or ``read_out(v)`` when a mirror map is given.
+    """
+    y, base, idx, floor = prepared
+    K = problem.bundle.kernel_matrix
+    Kw = problem.bundle.weighted_kernel_matrix
+    acc = v.copy()
+    x = v if read_out is None else read_out(v)
+
+    collected = []
+
+    def emit(n, current):
+        if observer is None:
+            collected.append(current.copy())
+        else:
+            value = observer(n, current)
+            if value is not None:
+                collected.append(value)
+
+    emit(0, x)
+    for n in range(idx.size):
+        i = idx[n]
+        residual = Kw[i] @ x - y[i]
+        eta = base[i]
+        if floor is not None and abs(residual) <= floor[i]:
+            eta = 0.0
+        if eta != 0.0:
+            acc = acc - (eta * residual) * K[i]
+        v = ((n + 1.0) * v + acc) / (n + 2.0) if momentum else acc
+        x = v if read_out is None else read_out(v)
+        emit(n + 1, x)
+    return collected
 
 
 def run(problem, data, policy, n_iters, seed=0, variant="shb", x0=None, observer=None,
@@ -242,63 +232,30 @@ def run(problem, data, policy, n_iters, seed=0, variant="shb", x0=None, observer
     Returns
     -------
     list of observed values, in call order.
+
+    Raises
+    ------
+    ValueError
+        On an unknown variant, ``mu0 >= 1``, a negative ``n_iters``, data
+        that is not one finite value per equation, policy noise levels not
+        one per equation, an index path outside ``[0, p)``, or an initial
+        guess that is not a finite vector on the grid.  All checks run
+        before the first step.
     """
     if variant not in VARIANTS:
         raise ValueError(f"variant must be one of {VARIANTS}")
-    if n_iters < 0:
-        raise ValueError("iteration count must be nonnegative")
     if policy.mu0 >= 1:
         raise ValueError("this solver family needs mu0 < 1")
-    y = _data_vector(problem, data)
-    bundle = problem.bundle
-    base = resolve_base_steps(policy, bundle)
-    if index_path is None:
-        idx = index_stream(seed, bundle.p, n_iters)
+    if x0 is None:
+        x = np.zeros(problem.m)
     else:
-        idx = np.asarray(index_path, dtype=np.intp)
-        if idx.size and (idx.min() < 0 or idx.max() >= bundle.p):
-            raise ValueError("index path entries must lie in [0, p)")
-        n_iters = idx.size
-    gate = policy.is_discrepancy
-    if gate:
-        levels = policy.per_eq_levels
-        if levels.shape != (bundle.p,):
-            raise ValueError("policy noise levels must have one entry per equation")
-        tau = policy.tau
-    K = bundle.kernel_matrix
-    Kw = bundle.weighted_kernel_matrix
-    momentum = variant == "shb"
-
-    x = np.zeros(problem.m) if x0 is None else np.array(x0, dtype=float)
-    if x.shape != problem.grid.nodes.shape:
-        raise ValueError("initial guess must be sampled on the grid")
-    z = x.copy()
-
-    collected = []
-
-    def emit(n, current):
-        if observer is None:
-            collected.append(current.copy())
-        else:
-            value = observer(n, current)
-            if value is not None:
-                collected.append(value)
-
-    emit(0, x)
-    for n in range(n_iters):
-        i = idx[n]
-        residual = Kw[i] @ x - y[i]
-        eta = base[i]
-        if gate and abs(residual) <= tau * levels[i]:
-            eta = 0.0
-        if momentum:
-            if eta != 0.0:
-                z = z - (eta * residual) * K[i]
-            x = ((n + 1.0) * x + z) / (n + 2.0)
-        elif eta != 0.0:
-            x = x - (eta * residual) * K[i]
-        emit(n + 1, x)
-    return collected
+        x = np.array(x0, dtype=float)
+        if x.shape != problem.grid.nodes.shape:
+            raise ValueError("initial guess must be sampled on the grid")
+        if not np.isfinite(x).all():
+            raise ValueError("initial guess must be finite")
+    prepared = _prepare(problem, data, policy, n_iters, seed, index_path)
+    return _drive(problem, prepared, x, variant == "shb", None, observer)
 
 
 def a_priori_stop(p, total_level):

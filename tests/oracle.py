@@ -1,0 +1,38 @@
+"""Test-only reference: the heavy-ball recursion in its direct two-step form.
+
+    v_{n+1} = v_n - alpha * eta * (A_i x_n - y_i) k_i + beta * (v_n - v_{n-1}),
+    x_n = read_out(v_n)   (x_n = v_n without a read-out map)
+
+with (alpha, beta) = step_coefficients(n) by default.  Coefficients (1, 0)
+give plain stochastic gradient; a read-out map gives the dual iteration,
+with v the dual variable.  The package carries the moving-average form
+instead, so agreement with this module checks the recursion itself, not a
+replay of the same arithmetic.
+"""
+
+import numpy as np
+
+from shbreg import step_coefficients
+
+
+def twostep(v, v_prev, n, row, y_i, eta, coefficients=None, read_out=None):
+    """``v_{n+1}`` from ``v_n`` and ``v_{n-1}`` after drawing equation ``row``."""
+    alpha, beta = step_coefficients(n) if coefficients is None else coefficients
+    x = v if read_out is None else read_out(v)
+    residual = row.apply(x) - y_i
+    return v - alpha * eta * residual * row.kernel_row + beta * (v - v_prev)
+
+
+def trajectory(problem, y, etas, path, v0, coefficients=None, read_out=None, floor=None):
+    """Iterates ``x_0 .. x_N`` along ``path``.  With ``floor``, the step is
+    zero whenever the drawn equation's residual is at most ``floor[i]``."""
+    v = v_prev = np.asarray(v0, dtype=float)
+    xs = [v if read_out is None else read_out(v)]
+    for n, i in enumerate(path):
+        row = problem.bundle.rows[i]
+        eta = etas[i]
+        if floor is not None and abs(row.apply(xs[-1]) - y[i]) <= floor[i]:
+            eta = 0.0
+        v, v_prev = twostep(v, v_prev, n, row, y[i], eta, coefficients, read_out), v
+        xs.append(v if read_out is None else read_out(v))
+    return xs

@@ -16,7 +16,6 @@ from shbreg import (
     Regularizer,
     RowOperator,
     RunSpec,
-    SolverState,
     StepPolicy,
     a_priori_stop,
     add_noise,
@@ -26,19 +25,18 @@ from shbreg import (
     enumerate_expectation,
     index_stream,
     monte_carlo,
+    random_instance,
     rate_bound,
     run,
     run_mirror,
     semi_convergence_stats,
-    shb_step_ima,
-    shb_step_twostep,
     source_condition_construct,
     stability_bound,
     stability_gap_ensemble,
 )
 from shbreg.solvers import resolve_base_steps
 
-from conftest import make_random_problem
+from oracle import trajectory
 
 
 def _report(num, name, passed, detail, t0, limit):
@@ -78,26 +76,24 @@ def example2_problem():
 
 def test_criterion_01_form_equivalence():
     t0 = time.perf_counter()
-    problem = make_random_problem(5, 16, seed=11)
+    problem = random_instance(5, 16, seed=11)
     data = add_noise(problem, 1e-2, seed=1)
-    etas = resolve_base_steps(StepPolicy.constant(0.6), problem.bundle)
+    policy = StepPolicy.constant(0.6)
+    etas = resolve_base_steps(policy, problem.bundle)
     path = index_stream((1, 0), problem.p, 200)
-    ima = SolverState.start(np.zeros(16))
-    two = SolverState.start(np.zeros(16))
+    moving_average = run(problem, data, policy, 200, index_path=path)
+    two_step = trajectory(problem, data.values, etas, path, np.zeros(16))
     worst = 0.0
-    for i in path:
-        row = problem.bundle.rows[i]
-        ima = shb_step_ima(ima, row, data.values[i], etas[i])
-        two = shb_step_twostep(two, row, data.values[i], etas[i])
-        gap = problem.grid.norm(ima.x_cur - two.x_cur)
-        worst = max(worst, gap / (1.0 + problem.grid.norm(ima.x_cur)))
+    for a, b in zip(moving_average[1:], two_step[1:]):
+        gap = problem.grid.norm(a - b)
+        worst = max(worst, gap / (1.0 + problem.grid.norm(a)))
     _report(1, "two-step vs moving-average equivalence", worst <= 1e-10,
             f"max relative gap {worst:.2e} <= 1e-10 over 200 steps", t0, 1.0)
 
 
 def test_criterion_02_enumeration_vs_monte_carlo():
     t0 = time.perf_counter()
-    problem = make_random_problem(3, 8, seed=202)
+    problem = random_instance(3, 8, seed=202)
     data = add_noise(problem, 0.05, seed=7)
     policy = StepPolicy.constant(0.6)
     worst = 0.0
@@ -116,7 +112,7 @@ def test_criterion_02_enumeration_vs_monte_carlo():
 
 def test_criterion_03_stability_bound():
     t0 = time.perf_counter()
-    problem = make_random_problem(5, 16, seed=303)
+    problem = random_instance(5, 16, seed=303)
     data = add_noise(problem, 1e-2, seed=9)
     policy = StepPolicy.constant(0.6)
     constants = RateConstants.for_policy(problem.bundle, policy)
@@ -267,7 +263,7 @@ def test_criterion_09_entropy_dual_iteration(example2_problem):
 
 def test_criterion_10_quadratic_regularizer_reduction():
     t0 = time.perf_counter()
-    problem = make_random_problem(5, 16, seed=1010)
+    problem = random_instance(5, 16, seed=1010)
     data = add_noise(problem, 0.05, seed=3)
     center = 0.1 * _philox((1010, 1)).standard_normal(16)
     reg = Regularizer.quadratic(problem.grid, center)

@@ -12,6 +12,7 @@ from shbreg import (
     bound_check,
     enumerate_expectation,
     monte_carlo,
+    random_instance,
     recorded_iters,
     rel_err_sq,
     run,
@@ -21,8 +22,6 @@ from shbreg import (
     write_csv,
 )
 from shbreg.solvers import resolve_base_steps
-
-from conftest import make_random_problem
 
 
 def make_trace(iters, means, std_errs=None, truth_norm_sq=1.0):
@@ -76,7 +75,7 @@ class TestRelErr:
 
 class TestMonteCarlo:
     def test_single_run_matches_direct_run(self):
-        problem = make_random_problem(4, 10, seed=20)
+        problem = random_instance(4, 10, seed=20)
         data = add_noise(problem, 0.05, seed=1)
         policy = StepPolicy.constant(0.6)
         spec = RunSpec(problem=problem, policy=policy, n_iters=30, data=data)
@@ -88,7 +87,7 @@ class TestMonteCarlo:
         np.testing.assert_array_equal(result.mean_sq_rel_err, np.asarray(errors))
 
     def test_single_equation_has_no_spread(self):
-        problem = make_random_problem(1, 8, seed=21)
+        problem = random_instance(1, 8, seed=21)
         spec = RunSpec(problem=problem, policy=StepPolicy.constant(0.5), n_iters=20)
         result = monte_carlo(spec, 5, base_seed=3)
         assert np.all(result.std_err == 0.0)
@@ -96,7 +95,7 @@ class TestMonteCarlo:
         np.testing.assert_array_equal(result.mean_sq_rel_err, single.mean_sq_rel_err)
 
     def test_deterministic(self):
-        problem = make_random_problem(5, 8, seed=22)
+        problem = random_instance(5, 8, seed=22)
         data = add_noise(problem, 0.1, seed=2)
         spec = RunSpec(problem=problem, policy=StepPolicy.constant(0.6), n_iters=40,
                        data=data)
@@ -106,7 +105,7 @@ class TestMonteCarlo:
         np.testing.assert_array_equal(a.std_err, b.std_err)
 
     def test_worker_pool_matches_serial(self, monkeypatch):
-        problem = make_random_problem(4, 8, seed=23)
+        problem = random_instance(4, 8, seed=23)
         data = add_noise(problem, 0.1, seed=3)
         spec = RunSpec(problem=problem, policy=StepPolicy.constant(0.6), n_iters=25,
                        data=data)
@@ -117,7 +116,7 @@ class TestMonteCarlo:
         np.testing.assert_array_equal(serial.std_err, pooled.std_err)
 
     def test_bad_run_count(self):
-        problem = make_random_problem(2, 6, seed=24)
+        problem = random_instance(2, 6, seed=24)
         spec = RunSpec(problem=problem, policy=StepPolicy.constant(0.5), n_iters=5)
         with pytest.raises(ValueError):
             monte_carlo(spec, 0, base_seed=1)
@@ -125,7 +124,7 @@ class TestMonteCarlo:
 
 class TestEnumeration:
     def test_single_equation_equals_deterministic_run(self):
-        problem = make_random_problem(1, 6, seed=30)
+        problem = random_instance(1, 6, seed=30)
         policy = StepPolicy.constant(0.5)
         exact = enumerate_expectation(problem, None, policy, 8)
         trace = run(problem, None, policy, 8,
@@ -133,19 +132,19 @@ class TestEnumeration:
         np.testing.assert_allclose(exact, np.asarray(trace), rtol=1e-15)
 
     def test_zero_steps(self):
-        problem = make_random_problem(3, 6, seed=31)
+        problem = random_instance(3, 6, seed=31)
         exact = enumerate_expectation(problem, None, StepPolicy.constant(0.5), 0)
         assert exact.shape == (1,)
         assert exact[0] == pytest.approx(
             rel_err_sq(np.zeros(6), problem.truth, problem.grid), rel=1e-15)
 
     def test_guard(self):
-        problem = make_random_problem(3, 6, seed=32)
+        problem = random_instance(3, 6, seed=32)
         with pytest.raises(ValueError, match="guard"):
             enumerate_expectation(problem, None, StepPolicy.constant(0.5), 20)
 
     def test_sampler_agrees_with_enumeration(self):
-        problem = make_random_problem(3, 8, seed=33)
+        problem = random_instance(3, 8, seed=33)
         data = add_noise(problem, 0.05, seed=4)
         policy = StepPolicy.constant(0.6)
         n_steps = 4
@@ -269,19 +268,31 @@ class TestBoundCheck:
 
 class TestStabilityGap:
     def test_zero_noise_gives_zero_gap(self):
-        problem = make_random_problem(4, 8, seed=50)
+        problem = random_instance(4, 8, seed=50)
         data = add_noise(problem, 0.0, seed=1)
         trace = stability_gap_ensemble(problem, data, StepPolicy.constant(0.6),
                                        n_iters=20, n_runs=3, base_seed=2)
         np.testing.assert_array_equal(trace.mean_sq_rel_err, 0.0)
 
     def test_gap_starts_at_zero(self):
-        problem = make_random_problem(4, 8, seed=51)
+        problem = random_instance(4, 8, seed=51)
         data = add_noise(problem, 0.2, seed=2)
         trace = stability_gap_ensemble(problem, data, StepPolicy.constant(0.6),
                                        n_iters=10, n_runs=4, base_seed=3)
         assert trace.mean_sq_rel_err[0] == 0.0
         assert np.any(trace.mean_sq_rel_err[1:] > 0)
+
+
+class TestEnsembleResult:
+    def test_non_finite_mean_rejected(self):
+        for bad in (np.nan, np.inf):
+            with pytest.raises(ValueError, match="finite"):
+                make_trace([0, 200], [0.5, bad])
+
+    def test_non_finite_std_err_rejected(self):
+        for bad in (np.nan, np.inf):
+            with pytest.raises(ValueError, match="finite"):
+                make_trace([0, 200], [0.5, 0.25], std_errs=[0.0, bad])
 
 
 class TestCsv:

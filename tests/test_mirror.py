@@ -4,23 +4,22 @@ import numpy as np
 import pytest
 
 from shbreg import (
-    DualState,
     Grid,
     Regularizer,
     StepPolicy,
     add_noise,
     bregman_distance,
     build_example2,
-    dual_step,
     index_stream,
     mirror_map,
+    random_instance,
     rate_envelope,
     run,
     run_mirror,
 )
 from shbreg.solvers import resolve_base_steps
 
-from conftest import make_random_problem
+from oracle import trajectory
 
 
 class TestMirrorMap:
@@ -63,40 +62,36 @@ class TestMirrorMap:
 
 class TestDualStep:
     def test_fixed_point(self):
-        grid = Grid.uniform(0.0, 1.0, 5)
-        reg = Regularizer.entropy_on_simplex(grid)
-        row_values = np.ones(5)
-        from shbreg import RowOperator
-        row = RowOperator(row_values, grid)
-        state = DualState.start(reg)
-        y_consistent = row.apply(state.x)
-        stepped = dual_step(state, reg, row, y_consistent, eta=0.5)
-        np.testing.assert_array_equal(stepped.xi_cur, state.xi_cur)
-        np.testing.assert_array_equal(stepped.x, state.x)
-        assert stepped.n == 1
+        # data consistent with the uniform density, the first entropy iterate
+        problem = build_example2(p=15)
+        reg = Regularizer.entropy_on_simplex(problem.grid)
+        x0 = mirror_map(reg, np.zeros(problem.m))
+        data = problem.bundle.apply_all(x0)
+        policy = StepPolicy.constant(0.9, norm_scope="full")
+        for x in run_mirror(problem, data, reg, policy, 20, seed=2):
+            np.testing.assert_allclose(x, x0, rtol=1e-12)
 
     def test_zero_step_is_pure_extrapolation(self):
-        rng = np.random.default_rng(5)
-        grid = Grid.uniform(0.0, 1.0, 7)
-        reg = Regularizer.entropy_on_simplex(grid)
-        from shbreg import RowOperator
-        row = RowOperator(rng.standard_normal(7), grid)
-        xi_cur = rng.standard_normal(7)
-        xi_prev = rng.standard_normal(7)
-        state = DualState(xi_cur=xi_cur, xi_prev=xi_prev,
-                          x=mirror_map(reg, xi_cur), n=3)
-        stepped = dual_step(state, reg, row, 0.0, eta=0.0)
-        beta = 3 / 5.0
-        np.testing.assert_allclose(stepped.xi_cur, xi_cur + beta * (xi_cur - xi_prev),
-                                   rtol=1e-15)
+        # equation 1 is always gated: after one live step on equation 0 the
+        # dual iterates follow xi_{n+1} = xi_n + beta_n (xi_n - xi_{n-1}); the
+        # quadratic map with a zero center reads xi off unchanged
+        problem = random_instance(2, 7, seed=5)
+        reg = Regularizer.quadratic(problem.grid, np.zeros(7))
+        policy = StepPolicy.discrepancy(0.6, 1.0, [0.0, 1e6])
+        xi = run_mirror(problem, None, reg, policy, 0, index_path=[0, 1, 1, 1, 1])
+        assert np.any(xi[1] != 0.0)
+        for n in range(1, 5):
+            beta = n / (n + 2.0)
+            np.testing.assert_allclose(xi[n + 1], xi[n] + beta * (xi[n] - xi[n - 1]),
+                                       rtol=1e-14)
 
     def test_initial_state_is_zero_dual(self):
-        grid = Grid.uniform(0.0, 1.0, 9)
-        reg = Regularizer.entropy_on_simplex(grid)
-        state = DualState.start(reg)
-        assert state.n == 0
-        np.testing.assert_array_equal(state.xi_cur, np.zeros(9))
-        np.testing.assert_array_equal(state.xi_prev, np.zeros(9))
+        problem = random_instance(2, 9, seed=9)
+        center = np.linspace(-1.0, 1.0, 9)
+        reg = Regularizer.quadratic(problem.grid, center)
+        seen = run_mirror(problem, None, reg, StepPolicy.constant(0.5), 0)
+        assert len(seen) == 1
+        np.testing.assert_array_equal(seen[0], center)  # x_0 = center + xi_0, xi_0 = 0
 
 
 class TestBregman:
@@ -231,17 +226,33 @@ class TestRunMirror:
         policy = StepPolicy.constant(0.9, norm_scope="full")
         etas = resolve_base_steps(policy, problem.bundle)
         path = index_stream((21, 0), problem.p, 30)
-        trajectory = run_mirror(problem, data, reg, policy, 30, index_path=path)
-        state = DualState.start(reg)
-        for n, i in enumerate(path):
-            state = dual_step(state, reg, problem.bundle.rows[i], data.values[i], etas[i])
-            gap = problem.grid.norm(trajectory[n + 1] - state.x)
-            assert gap <= 1e-10 * (1.0 + problem.grid.norm(state.x))
+        trajectory_run = run_mirror(problem, data, reg, policy, 30, index_path=path)
+        reference = trajectory(problem, data.values, etas, path, np.zeros(problem.m),
+                               read_out=lambda xi: mirror_map(reg, xi))
+        for a, b in zip(trajectory_run, reference):
+            gap = problem.grid.norm(a - b)
+            assert gap <= 1e-10 * (1.0 + problem.grid.norm(b))
+
+    def test_short_noise_levels_rejected_before_first_step(self):
+        problem = build_example2(p=25)
+        reg = Regularizer.entropy_on_simplex(problem.grid)
+        data = add_noise(problem, 0.1, seed=1)
+        policy = StepPolicy.discrepancy(0.9, 1.0, data.per_eq_levels[:20], norm_scope="full")
+        seen = []
+        # sampled draws reach the missing entries 20..24 ...
+        with pytest.raises(ValueError, match="one entry per equation"):
+            run_mirror(problem, data, reg, policy, 200, seed=3,
+                       observer=lambda n, x: seen.append(n))
+        # ... and a path that never reaches them is rejected all the same
+        with pytest.raises(ValueError, match="one entry per equation"):
+            run_mirror(problem, data, reg, policy, 0, index_path=np.arange(20),
+                       observer=lambda n, x: seen.append(n))
+        assert seen == []
 
 
 class TestQuadraticReduction:
     def test_dual_run_reproduces_primal_solver(self):
-        problem = make_random_problem(4, 12, seed=77)
+        problem = random_instance(4, 12, seed=77)
         data = add_noise(problem, 0.05, seed=6)
         rng = np.random.default_rng(13)
         center = 0.1 * rng.standard_normal(12)

@@ -3,7 +3,16 @@ import os
 import numpy as np
 import pytest
 
-from shbreg import add_noise, build_example1, build_example2, to_text
+from shbreg import (
+    Grid,
+    OperatorBundle,
+    ProblemInstance,
+    RowOperator,
+    add_noise,
+    build_example1,
+    build_example2,
+    to_text,
+)
 from shbreg.problems import kernel_example1, kernel_example2, truth_example1
 
 DATA_DIR = os.path.join(os.path.dirname(__file__), "data")
@@ -66,6 +75,15 @@ class TestProblemConsistency:
         for i, row in enumerate(problem.bundle.rows):
             recomputed = row.apply(problem.truth)
             assert abs(recomputed - problem.exact_data[i]) <= 1e-12 * (1 + abs(recomputed))
+
+    def test_non_finite_truth_rejected(self):
+        grid = Grid.uniform(0.0, 1.0, 4)
+        bundle = OperatorBundle(rows=(RowOperator(np.ones(4), grid),))
+        for bad in (np.nan, np.inf):
+            truth = np.array([1.0, bad, 0.0, 0.0])
+            with pytest.raises(ValueError, match="finite"):
+                ProblemInstance(name="bad", grid=grid, sample_points=[0.0], bundle=bundle,
+                                truth=truth, exact_data=bundle.apply_all(truth))
 
 
 class TestNoise:

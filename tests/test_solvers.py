@@ -1,35 +1,41 @@
+import itertools
+
 import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
 from shbreg import (
     Grid,
+    NoisyData,
     OperatorBundle,
+    ProblemInstance,
     RateConstants,
     RowOperator,
-    SolverState,
+    RunSpec,
     StepPolicy,
     a_priori_stop,
     add_noise,
     index_stream,
+    monte_carlo,
+    random_instance,
     rate_bound,
     run,
-    sgd_step,
-    shb_step_ima,
-    shb_step_twostep,
     stability_bound,
     step_coefficients,
-    step_size,
 )
 from shbreg.harness import source_condition_construct
 from shbreg.solvers import resolve_base_steps
 
-from conftest import make_random_problem
+from oracle import trajectory
 
 
-def scalar_row(m=3):
+def scalar_problem(value=1.0, m=3):
+    """One equation whose row is 1 on [0, 1]: A x integrates x and ||A||^2 == 1."""
     grid = Grid.uniform(0.0, 1.0, m)
-    return grid, RowOperator(np.ones(m), grid)
+    bundle = OperatorBundle(rows=(RowOperator(np.ones(m), grid),))
+    truth = np.full(m, value)
+    return ProblemInstance(name="scalar", grid=grid, sample_points=np.zeros(1), bundle=bundle,
+                           truth=truth, exact_data=bundle.apply_all(truth))
 
 
 class TestStepCoefficients:
@@ -63,119 +69,124 @@ class TestStepPolicy:
             StepPolicy.discrepancy(0.6, 0.9, np.ones(3))
         with pytest.raises(ValueError, match="levels"):
             StepPolicy(kind="discrepancy", mu0=0.6, tau=1.4)
+        for bad in (-0.1, np.nan):
+            with pytest.raises(ValueError, match="nonnegative"):
+                StepPolicy.discrepancy(0.6, 1.4, [0.1, bad])
 
     def test_step_size_gating(self):
-        grid, row = scalar_row()  # norm_sq == 1
-        dp = StepPolicy.discrepancy(0.6, 1.0, np.array([0.7, 0.7]))
-        assert step_size(dp, 0, row, residual_abs=0.5) == 0.0
-        half = RowOperator(np.full(3, np.sqrt(2.0)), grid)  # norm_sq == 2
-        assert step_size(dp, 0, half, residual_abs=1.0) == pytest.approx(0.3)
+        # x0 = 0 and y = 1 give |residual| == 1 at the first draw: a gate floor
+        # tau * level of exactly 1 zeroes the step, a floor just below keeps it
+        problem = scalar_problem()
+        for variant, live in (("shb", 0.25), ("sgd", 0.5)):
+            gated = run(problem, None, StepPolicy.discrepancy(0.5, 2.0, [0.5]), 1,
+                        variant=variant)
+            assert gated[1][0] == 0.0
+            stepped = run(problem, None, StepPolicy.discrepancy(0.5, 2.0, [0.49]), 1,
+                          variant=variant)
+            assert stepped[1][0] == live
 
     def test_step_size_constant(self):
         grid = Grid.uniform(0.0, 1.0, 3)
-        row = RowOperator(np.full(3, 2.0), grid)  # norm_sq == 4
-        assert step_size(StepPolicy.constant(0.6), 0, row, 123.0) == pytest.approx(0.15)
+        bundle = OperatorBundle(rows=(RowOperator(np.full(3, 2.0), grid),  # norm_sq == 4
+                                      RowOperator(np.ones(3), grid)))      # norm_sq == 1
+        np.testing.assert_allclose(resolve_base_steps(StepPolicy.constant(0.6), bundle),
+                                   [0.15, 0.6], rtol=1e-15)
 
     def test_step_size_degenerate_row(self):
-        grid, _ = scalar_row()
-        zero = RowOperator(np.zeros(3), grid)
+        grid = Grid.uniform(0.0, 1.0, 3)
+        bundle = OperatorBundle(rows=(RowOperator(np.ones(3), grid),
+                                      RowOperator(np.zeros(3), grid)))
         with pytest.raises(ValueError, match="zero row"):
-            step_size(StepPolicy.constant(0.5), 0, zero, 1.0)
-
-    def test_step_size_negative_residual_rejected(self):
-        grid, row = scalar_row()
-        with pytest.raises(ValueError, match="residual"):
-            step_size(StepPolicy.constant(0.5), 0, row, -1.0)
+            resolve_base_steps(StepPolicy.constant(0.5), bundle)
+        problem = ProblemInstance(name="zero-row", grid=grid, sample_points=np.arange(2.0),
+                                  bundle=bundle, truth=np.ones(3),
+                                  exact_data=bundle.apply_all(np.ones(3)))
+        with pytest.raises(ValueError, match="zero row"):
+            run(problem, None, StepPolicy.constant(0.5), 5)
 
     def test_full_scope_needs_bundle_norm(self):
-        grid, row = scalar_row()
+        problem = random_instance(3, 6, seed=14)
+        bundle = problem.bundle
         full = StepPolicy.constant(0.5, norm_scope="full")
-        with pytest.raises(ValueError, match="bundle"):
-            step_size(full, 0, row, 1.0)
-        assert step_size(full, 0, row, 1.0, full_norm_sq=2.0) == pytest.approx(0.25)
+        np.testing.assert_array_equal(resolve_base_steps(full, bundle),
+                                      np.full(3, 0.5 / bundle.full_norm_sq))
+        assert np.all(resolve_base_steps(full, bundle)
+                      < resolve_base_steps(StepPolicy.constant(0.5), bundle))
 
 
 class TestSingleSteps:
     def test_consistent_fixed_point(self):
-        grid, row = scalar_row()
-        state = SolverState.start(np.full(3, 5.0))
-        stepped = shb_step_ima(state, row, y_i=5.0, eta=0.7)
-        np.testing.assert_array_equal(stepped.x_cur, state.x_cur)
-        assert stepped.n == 1
+        problem = scalar_problem(5.0)
+        x0 = np.full(3, 5.0)
+        for variant in ("shb", "sgd"):
+            for x in run(problem, None, StepPolicy.constant(0.7), 5, variant=variant, x0=x0):
+                np.testing.assert_array_equal(x, x0)
 
     def test_zero_step_frozen_momentum(self):
-        grid, row = scalar_row()
-        state = SolverState.start(np.full(3, 2.0))
-        stepped = shb_step_twostep(state, row, y_i=0.0, eta=0.0)
-        np.testing.assert_array_equal(stepped.x_cur, state.x_cur)
+        # every draw gated from the start: the accumulator stays at x0, so the
+        # running average stays there up to the rounding of the average
+        problem = random_instance(3, 6, seed=15)
+        x0 = np.random.default_rng(15).standard_normal(6)
+        policy = StepPolicy.discrepancy(0.6, 1.0, np.full(3, 1e6))
+        for variant in ("shb", "sgd"):
+            for x in run(problem, None, policy, 8, variant=variant, x0=x0):
+                np.testing.assert_allclose(x, x0, rtol=1e-14)
 
     def test_scalar_momentum_iteration(self):
         # A = identity-like row on [0,1], y = 1, x0 = 0, eta = 0.5:
         # first two iterates are 1/4 and 11/24.
-        grid, row = scalar_row()
-        for step in (shb_step_ima, shb_step_twostep):
-            state = SolverState.start(np.zeros(3))
-            state = step(state, row, 1.0, 0.5)
-            np.testing.assert_allclose(state.x_cur, 0.25, rtol=1e-15)
-            state = step(state, row, 1.0, 0.5)
-            np.testing.assert_allclose(state.x_cur, 11.0 / 24.0, rtol=1e-14)
+        problem = scalar_problem()
+        expected = [0.0, 0.25, 11.0 / 24.0]
+        for xs in (run(problem, None, StepPolicy.constant(0.5), 2),
+                   trajectory(problem, [1.0], [0.5], [0, 0], np.zeros(3))):
+            for x, value in zip(xs, expected):
+                np.testing.assert_allclose(x, value, rtol=1e-14)
 
     def test_scalar_sgd_iteration(self):
-        grid, row = scalar_row()
-        state = SolverState.start(np.zeros(3))
-        state = sgd_step(state, row, 1.0, 0.5)
-        np.testing.assert_allclose(state.x_cur, 0.5, rtol=1e-15)
-        state = sgd_step(state, row, 1.0, 0.5)
-        np.testing.assert_allclose(state.x_cur, 0.75, rtol=1e-15)
-
-    def test_sgd_is_twostep_with_unit_coefficients(self):
-        rng = np.random.default_rng(17)
-        grid = Grid.uniform(0.0, 1.0, 8)
-        row = RowOperator(rng.standard_normal(8), grid)
-        state = SolverState.start(rng.standard_normal(8))
-        state = shb_step_ima(state, row, 0.3, 0.2)  # make x_prev != x_cur
-        via_sgd = sgd_step(state, row, -0.4, 0.35)
-        via_two = shb_step_twostep(state, row, -0.4, 0.35, coefficients=(1.0, 0.0))
-        np.testing.assert_array_equal(via_sgd.x_cur, via_two.x_cur)
+        problem = scalar_problem()
+        expected = [0.0, 0.5, 0.75]
+        for xs in (run(problem, None, StepPolicy.constant(0.5), 2, variant="sgd"),
+                   trajectory(problem, [1.0], [0.5], [0, 0], np.zeros(3),
+                              coefficients=(1.0, 0.0))):
+            for x, value in zip(xs, expected):
+                np.testing.assert_allclose(x, value, rtol=1e-15)
 
     def test_moving_average_consistency_invariant(self):
-        rng = np.random.default_rng(8)
-        grid = Grid.uniform(0.0, 1.0, 6)
-        row = RowOperator(rng.standard_normal(6), grid)
-        state = SolverState.start(rng.standard_normal(6))
-        for _ in range(30):
-            state = shb_step_ima(state, row, 0.2, 0.4)
-            recomputed = state.x_cur + state.n * (state.x_cur - state.x_prev)
-            scale = 1.0 + np.abs(state.z)
-            assert np.all(np.abs(recomputed - state.z) <= 1e-10 * scale)
-
-    def test_negative_eta_rejected(self):
-        grid, row = scalar_row()
-        state = SolverState.start(np.zeros(3))
-        for step in (shb_step_ima, shb_step_twostep, sgd_step):
-            with pytest.raises(ValueError):
-                step(state, row, 1.0, -0.1)
+        # z_n = (n+1) x_n - n x_{n-1}, recovered from the iterates, changes by
+        # exactly one row correction per step
+        problem = random_instance(3, 6, seed=8)
+        data = add_noise(problem, 0.05, seed=8)
+        policy = StepPolicy.constant(0.4)
+        etas = resolve_base_steps(policy, problem.bundle)
+        path = index_stream((8, 0), problem.p, 30)
+        xs = run(problem, data, policy, 30, x0=np.ones(6), index_path=path)
+        z = xs[0]
+        for n, i in enumerate(path):
+            z_next = (n + 2.0) * xs[n + 1] - (n + 1.0) * xs[n]
+            row = problem.bundle.rows[i]
+            correction = -etas[i] * (row.apply(xs[n]) - data.values[i]) * row.kernel_row
+            scale = 1.0 + np.abs(z_next)
+            assert np.all(np.abs(z_next - z - correction) <= 1e-10 * scale)
+            z = z_next
 
 
 class TestFormEquivalence:
     def test_two_forms_agree_along_a_path(self):
-        problem = make_random_problem(4, 12, seed=100)
+        problem = random_instance(4, 12, seed=100)
         data = add_noise(problem, 0.05, seed=5)
-        etas = resolve_base_steps(StepPolicy.constant(0.6), problem.bundle)
+        policy = StepPolicy.constant(0.6)
+        etas = resolve_base_steps(policy, problem.bundle)
         path = index_stream(123, problem.p, 60)
-        ima = SolverState.start(np.zeros(12))
-        two = SolverState.start(np.zeros(12))
-        for i in path:
-            row = problem.bundle.rows[i]
-            ima = shb_step_ima(ima, row, data.values[i], etas[i])
-            two = shb_step_twostep(two, row, data.values[i], etas[i])
-            gap = problem.grid.norm(ima.x_cur - two.x_cur)
-            assert gap <= 1e-10 * (1.0 + problem.grid.norm(ima.x_cur))
+        moving_average = run(problem, data, policy, 60, index_path=path)
+        two_step = trajectory(problem, data.values, etas, path, np.zeros(12))
+        for a, b in zip(moving_average, two_step):
+            gap = problem.grid.norm(a - b)
+            assert gap <= 1e-10 * (1.0 + problem.grid.norm(a))
 
 
 class TestRun:
     def test_zero_iterations_sees_initial_guess(self):
-        problem = make_random_problem(3, 10, seed=1)
+        problem = random_instance(3, 10, seed=1)
         seen = []
         run(problem, None, StepPolicy.constant(0.5), 0,
             observer=lambda n, x: seen.append((n, x.copy())))
@@ -183,14 +194,14 @@ class TestRun:
         np.testing.assert_array_equal(seen[0][1], np.zeros(10))
 
     def test_single_equation_ignores_seed(self):
-        problem = make_random_problem(1, 8, seed=2)
+        problem = random_instance(1, 8, seed=2)
         a = run(problem, None, StepPolicy.constant(0.5), 20, seed=1)
         b = run(problem, None, StepPolicy.constant(0.5), 20, seed=999)
         for xa, xb in zip(a, b):
             np.testing.assert_array_equal(xa, xb)
 
     def test_fixed_seed_reproducible(self):
-        problem = make_random_problem(5, 8, seed=3)
+        problem = random_instance(5, 8, seed=3)
         data = add_noise(problem, 0.1, seed=1)
         a = run(problem, data, StepPolicy.constant(0.6), 50, seed=(7, 0))
         b = run(problem, data, StepPolicy.constant(0.6), 50, seed=(7, 0))
@@ -198,38 +209,42 @@ class TestRun:
             np.testing.assert_array_equal(xa, xb)
 
     def test_run_matches_single_steps(self):
-        problem = make_random_problem(4, 9, seed=4)
+        # a gated run: the reference applies the gate |A_i x - y_i| <= tau * level
+        # itself, and the path must hit both sides of it
+        problem = random_instance(4, 9, seed=4)
         data = add_noise(problem, 0.02, seed=2)
-        policy = StepPolicy.constant(0.7)
+        policy = StepPolicy.discrepancy(0.7, 40.0, data.per_eq_levels)
         etas = resolve_base_steps(policy, problem.bundle)
+        floor = policy.tau * policy.per_eq_levels
         path = index_stream((11, 0), problem.p, 40)
-        trajectory = run(problem, data, policy, 40, index_path=path)
-        state = SolverState.start(np.zeros(9))
-        for n, i in enumerate(path):
-            state = shb_step_ima(state, problem.bundle.rows[i], data.values[i], etas[i])
-            gap = problem.grid.norm(trajectory[n + 1] - state.x_cur)
-            assert gap <= 1e-12 * (1.0 + problem.grid.norm(state.x_cur))
+        trajectory_run = run(problem, data, policy, 40, index_path=path)
+        reference = trajectory(problem, data.values, etas, path, np.zeros(9), floor=floor)
+        gated = sum(abs(problem.bundle.rows[i].apply(reference[n]) - data.values[i]) <= floor[i]
+                    for n, i in enumerate(path))
+        assert 0 < gated < path.size
+        for a, b in zip(trajectory_run, reference):
+            gap = problem.grid.norm(a - b)
+            assert gap <= 1e-12 * (1.0 + problem.grid.norm(b))
 
     def test_sgd_variant_matches_single_steps(self):
-        problem = make_random_problem(4, 9, seed=6)
+        problem = random_instance(4, 9, seed=6)
         policy = StepPolicy.constant(0.7)
         etas = resolve_base_steps(policy, problem.bundle)
         path = index_stream((12, 0), problem.p, 25)
-        trajectory = run(problem, None, policy, 25, variant="sgd", index_path=path)
-        state = SolverState.start(np.zeros(9))
-        for n, i in enumerate(path):
-            state = sgd_step(state, problem.bundle.rows[i], problem.exact_data[i], etas[i])
-            gap = problem.grid.norm(trajectory[n + 1] - state.x_cur)
-            assert gap <= 1e-12 * (1.0 + problem.grid.norm(state.x_cur))
+        trajectory_run = run(problem, None, policy, 25, variant="sgd", index_path=path)
+        reference = trajectory(problem, problem.exact_data, etas, path, np.zeros(9),
+                               coefficients=(1.0, 0.0))
+        for a, b in zip(trajectory_run, reference):
+            gap = problem.grid.norm(a - b)
+            assert gap <= 1e-12 * (1.0 + problem.grid.norm(b))
 
     def test_discrepancy_gate_keeps_averaging_alive(self):
         # When every residual is inside the noise budget the corrections stop
         # but the running average still moves x toward z.
-        problem = make_random_problem(3, 6, seed=7)
+        problem = random_instance(3, 6, seed=7)
         levels = np.full(3, 1e6)  # everything gated off
         policy = StepPolicy.discrepancy(0.6, 1.0, levels)
         x0 = np.ones(6)
-        state = SolverState.start(x0)
         # seed a gap between x and z by one live step first
         live = StepPolicy.constant(0.6)
         trajectory = run(problem, None, live, 1, seed=0, x0=x0)
@@ -237,28 +252,52 @@ class TestRun:
         assert all(np.isfinite(x).all() for x in primed)
 
     def test_mu0_budget_enforced(self):
-        problem = make_random_problem(3, 6, seed=8)
+        problem = random_instance(3, 6, seed=8)
         with pytest.raises(ValueError, match="mu0"):
             run(problem, None, StepPolicy.constant(1.0), 5)
 
     def test_bad_variant_rejected(self):
-        problem = make_random_problem(3, 6, seed=9)
+        problem = random_instance(3, 6, seed=9)
         with pytest.raises(ValueError, match="variant"):
             run(problem, None, StepPolicy.constant(0.5), 5, variant="nesterov")
 
     def test_index_path_validation(self):
-        problem = make_random_problem(3, 6, seed=10)
+        problem = random_instance(3, 6, seed=10)
         with pytest.raises(ValueError, match="index path"):
             run(problem, None, StepPolicy.constant(0.5), 5, index_path=np.array([0, 3]))
 
     def test_raw_array_data_accepted(self):
-        problem = make_random_problem(3, 6, seed=13)
+        problem = random_instance(3, 6, seed=13)
         shifted = problem.exact_data + 0.25
         via_array = run(problem, shifted, StepPolicy.constant(0.5), 10, seed=4)
         via_exact = run(problem, None, StepPolicy.constant(0.5), 10, seed=4)
         assert not np.array_equal(via_array[-1], via_exact[-1])
         with pytest.raises(ValueError, match="one entry per equation"):
             run(problem, shifted[:-1], StepPolicy.constant(0.5), 10)
+
+    def test_non_finite_data_rejected(self):
+        problem = random_instance(5, 8, seed=16)
+        data = problem.exact_data.copy()
+        data[3] = np.nan
+        seen = []
+        with pytest.raises(ValueError, match="finite"):
+            run(problem, data, StepPolicy.constant(0.5), 10, observer=lambda n, x: seen.append(n))
+        assert seen == []
+        with pytest.raises(ValueError, match="finite"):
+            NoisyData(values=data, per_eq_levels=np.zeros(5), total_level=0.0, rel_level=0.0,
+                      seed=0)
+        # an ensemble stops instead of writing NaN rows to its CSV
+        spec = RunSpec(problem=problem, policy=StepPolicy.constant(0.5), n_iters=10, data=data)
+        with pytest.raises(RuntimeError, match="finite"):
+            monte_carlo(spec, 2, base_seed=1)
+
+    def test_non_finite_initial_guess_rejected(self):
+        problem = random_instance(3, 6, seed=17)
+        for bad in (np.nan, np.inf):
+            x0 = np.zeros(6)
+            x0[2] = bad
+            with pytest.raises(ValueError, match="finite"):
+                run(problem, None, StepPolicy.constant(0.5), 5, x0=x0)
 
 
 class TestStopping:
@@ -297,7 +336,7 @@ class TestBounds:
         assert rate_bound(10**9, 1, constants) < 1e-8
 
     def test_constants_from_constant_policy(self):
-        problem = make_random_problem(5, 16, seed=12)
+        problem = random_instance(5, 16, seed=12)
         constants = RateConstants.for_policy(problem.bundle, StepPolicy.constant(0.6))
         assert constants.c0 == 0.4  # 1 - mu0, exactly
         etas = resolve_base_steps(StepPolicy.constant(0.6), problem.bundle)
@@ -326,21 +365,19 @@ class TestExactDataEnergyDecay:
         etas = resolve_base_steps(policy, bundle)
         p, n_steps = problem.p, 6
 
-        def energy(state):
-            residuals = problem.bundle.apply_all(state.x_prev) - problem.exact_data
-            return (grid.norm_sq(state.z - problem.truth)
-                    + state.n / p * float(np.sum(etas * residuals**2)))
+        def energy(n, z, x_prev):
+            residuals = problem.bundle.apply_all(x_prev) - problem.exact_data
+            return (grid.norm_sq(z - problem.truth)
+                    + n / p * float(np.sum(etas * residuals**2)))
 
         totals = np.zeros(n_steps + 1)
         count = 0
-        import itertools
         for path in itertools.product(range(p), repeat=n_steps):
-            state = SolverState.start(np.zeros(6))
-            totals[0] += energy(state)
-            for k, i in enumerate(path):
-                state = shb_step_ima(state, bundle.rows[i],
-                                     problem.exact_data[i], etas[i])
-                totals[k + 1] += energy(state)
+            xs = run(problem, None, policy, n_steps, index_path=np.array(path))
+            totals[0] += energy(0, xs[0], xs[0])
+            for n in range(1, n_steps + 1):
+                # z_n = (n+1) x_n - n x_{n-1} is the accumulator of the moving average
+                totals[n] += energy(n, (n + 1.0) * xs[n] - n * xs[n - 1], xs[n - 1])
             count += 1
         expected = totals / count
         assert np.all(np.diff(expected) <= 1e-12 * (1 + expected[:-1]))
