@@ -64,7 +64,7 @@ def main():
     grid = Grid.uniform(0.0, 1.0, 32)
     bundle = OperatorBundle(rows=tuple(
         RowOperator(rng.standard_normal(32), grid) for _ in range(10)))
-    instance = source_condition_construct(bundle, grid, rng.standard_normal(10),
+    instance = source_condition_construct(bundle, rng.standard_normal(10),
                                           np.zeros(32), policy)
     constants = RateConstants.for_policy(bundle, policy, m0=instance.m0)
     spec = RunSpec(problem=instance.problem, policy=policy, n_iters=2000)

@@ -189,7 +189,7 @@ def cmd_rate_check(args):
         RowOperator(rng.standard_normal(args.m), grid) for _ in range(args.p)))
     lam = args.lam_scale * rng.standard_normal(args.p)
     policy = StepPolicy.constant(args.mu0)
-    instance = source_condition_construct(bundle, grid, lam, np.zeros(args.m), policy)
+    instance = source_condition_construct(bundle, lam, np.zeros(args.m), policy)
     constants = RateConstants.for_policy(bundle, policy, m0=instance.m0)
 
     if instance.m0 == 0.0:

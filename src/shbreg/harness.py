@@ -8,6 +8,11 @@ constructor for instances whose truth has a known source representation
 (so the rate-bound constant is computable, not guessed), semi-convergence
 statistics, and a checker that compares an ensemble against a theoretical
 bound with Monte Carlo slack.
+
+One ``_error_functional`` serves :func:`rel_err_sq`, the traces of
+:func:`monte_carlo` and :func:`enumerate_expectation` and ``RunSpec.truth_norm_sq``,
+so traces match observer-side :func:`rel_err_sq` calls bit for bit; ensembles
+raise the ``ValueError`` of their runs.
 """
 
 import itertools
@@ -55,6 +60,27 @@ def recorded_iters(n_iters, dense_until=1000, stride=10):
     return np.unique(np.concatenate([np.arange(dense_until + 1), tail, [n_iters]]))
 
 
+def _error_functional(truth, weights, metric):
+    """``(denominator, error)``: the truth's squared weighted norm (l2) or the
+    integral of its absolute value (l1), and iterate -> squared relative error."""
+    if metric == "l2":
+        denom = float(weights @ (truth * truth))
+
+        def error(x):
+            d = x - truth
+            return float(weights @ (d * d)) / denom
+    elif metric == "l1":
+        denom = float(weights @ np.abs(truth))
+
+        def error(x):
+            return (float(weights @ np.abs(x - truth)) / denom) ** 2
+    else:
+        raise ValueError("metric must be 'l2' or 'l1'")
+    if denom == 0:
+        raise ValueError("truth must have positive norm")
+    return denom, error
+
+
 def rel_err_sq(x, truth, grid, norm="l2"):
     """Squared relative error of an iterate against the truth.
 
@@ -65,25 +91,15 @@ def rel_err_sq(x, truth, grid, norm="l2"):
     truth = np.asarray(truth, dtype=float)
     if x.shape != truth.shape:
         raise ValueError("iterate and truth must have equal length")
-    if norm == "l2":
-        denom = grid.norm_sq(truth)
-        if denom == 0:
-            raise ValueError("truth must have positive norm")
-        return grid.norm_sq(x - truth) / denom
-    if norm == "l1":
-        denom = grid.integrate(np.abs(truth))
-        if denom == 0:
-            raise ValueError("truth must have positive norm")
-        return (grid.integrate(np.abs(x - truth)) / denom) ** 2
-    raise ValueError("norm must be 'l2' or 'l1'")
+    return _error_functional(truth, grid.weights, norm)[1](x)
 
 
 @dataclass(frozen=True)
 class RunSpec:
     """Everything one solver run needs, minus its seed.
 
-    ``regularizer`` switches from the primal solver to the dual iteration;
-    ``record`` overrides the default recording schedule.
+    ``regularizer`` switches to the dual iteration, which takes no ``x0`` and
+    no ``"sgd"`` variant; ``record`` overrides the default recording schedule.
     """
 
     problem: ProblemInstance
@@ -96,6 +112,12 @@ class RunSpec:
     x0: np.ndarray = None
     record: np.ndarray = None
 
+    def __post_init__(self):
+        if self.metric not in ("l2", "l1"):
+            raise ValueError("metric must be 'l2' or 'l1'")
+        if self.regularizer is not None and (self.x0 is not None or self.variant != "shb"):
+            raise ValueError("dual runs start at zero with momentum: no x0, no 'sgd' variant")
+
     def record_points(self):
         if self.record is None:
             return recorded_iters(self.n_iters)
@@ -105,9 +127,8 @@ class RunSpec:
         return rec
 
     def truth_norm_sq(self):
-        if self.metric == "l2":
-            return self.problem.grid.norm_sq(self.problem.truth)
-        return self.problem.grid.integrate(np.abs(self.problem.truth)) ** 2
+        denom, _ = _error_functional(self.problem.truth, self.problem.grid.weights, self.metric)
+        return denom if self.metric == "l2" else denom**2
 
 
 @dataclass(frozen=True)
@@ -136,36 +157,17 @@ class EnsembleResult:
 
 
 def _trace_context(spec):
-    """Per-ensemble constants: recorded indices and a fast error functional.
-
-    The functional replicates :func:`rel_err_sq` operation for operation so
-    traces are bit-identical to observer-side calls of the public function.
-    """
+    """Per-ensemble constants: recorded indices, their positions, the error."""
     rec = spec.record_points()
     wanted = {int(v): k for k, v in enumerate(rec)}
-    weights = spec.problem.grid.weights
-    truth = spec.problem.truth
-    if spec.metric == "l2":
-        denom = float(weights @ (truth * truth))
-        if denom == 0:
-            raise ValueError("truth must have positive norm")
-
-        def error(x):
-            d = x - truth
-            return float(weights @ (d * d)) / denom
-    else:
-        denom = float(weights @ np.abs(truth))
-        if denom == 0:
-            raise ValueError("truth must have positive norm")
-
-        def error(x):
-            return (float(weights @ np.abs(x - truth)) / denom) ** 2
-
+    _, error = _error_functional(spec.problem.truth, spec.problem.grid.weights, spec.metric)
     return rec, wanted, error
 
 
-def _error_trace(spec, seed, ctx=None):
-    rec, wanted, error = _trace_context(spec) if ctx is None else ctx
+def _error_trace(spec, ctx, seed=0, index_path=None):
+    """Errors of one run at the recorded indices of ``ctx``.  ``run`` and
+    ``run_mirror`` are module globals here, which bench/tracing.py patches."""
+    rec, wanted, error = ctx
     out = np.empty(rec.size)
 
     def observer(n, x):
@@ -175,16 +177,16 @@ def _error_trace(spec, seed, ctx=None):
 
     if spec.regularizer is not None:
         run_mirror(spec.problem, spec.data, spec.regularizer, spec.policy, spec.n_iters,
-                   seed=seed, observer=observer)
+                   seed=seed, observer=observer, index_path=index_path)
     else:
         run(spec.problem, spec.data, spec.policy, spec.n_iters, seed=seed,
-            variant=spec.variant, x0=spec.x0, observer=observer)
+            variant=spec.variant, x0=spec.x0, observer=observer, index_path=index_path)
     return out
 
 
 def _trace_block(spec, base_seed, start, stop):
     ctx = _trace_context(spec)
-    return np.vstack([_error_trace(spec, (base_seed, r), ctx) for r in range(start, stop)])
+    return np.vstack([_error_trace(spec, ctx, (base_seed, r)) for r in range(start, stop)])
 
 
 def _worker_count(n_runs):
@@ -225,22 +227,20 @@ def monte_carlo(spec, n_runs, base_seed):
     environment variable ``SHB_THREADS`` caps a process pool that fans the
     runs out; per-run traces are stacked in run order before reduction, so
     the result is identical for any worker count.  A failing run aborts the
-    whole ensemble with its stream in the error message.
+    whole ensemble with its own exception: invalid input raises the same
+    ``ValueError`` as a single :func:`shbreg.solvers.run`, serial or pooled.
     """
     if n_runs < 1:
         raise ValueError("need at least one run")
     workers = _worker_count(n_runs)
-    try:
-        if workers == 1:
-            traces = _trace_block(spec, base_seed, 0, n_runs)
-        else:
-            bounds = np.linspace(0, n_runs, workers + 1).astype(int)
-            with ProcessPoolExecutor(max_workers=workers) as pool:
-                futures = [pool.submit(_trace_block, spec, base_seed, lo, hi)
-                           for lo, hi in zip(bounds[:-1], bounds[1:]) if hi > lo]
-                traces = np.vstack([f.result() for f in futures])
-    except Exception as exc:
-        raise RuntimeError(f"ensemble with base seed {base_seed} failed: {exc}") from exc
+    if workers == 1:
+        traces = _trace_block(spec, base_seed, 0, n_runs)
+    else:
+        bounds = np.linspace(0, n_runs, workers + 1).astype(int)
+        with ProcessPoolExecutor(max_workers=workers) as pool:
+            futures = [pool.submit(_trace_block, spec, base_seed, lo, hi)
+                       for lo, hi in zip(bounds[:-1], bounds[1:]) if hi > lo]
+            traces = np.vstack([f.result() for f in futures])
     return _summarize(spec, traces, n_runs, base_seed)
 
 
@@ -260,7 +260,7 @@ def stability_gap_ensemble(problem, data, policy, n_iters, n_runs, base_seed,
     rec = spec.record_points()
     wanted = set(int(v) for v in rec)
     grid = problem.grid
-    scale = grid.norm_sq(problem.truth)
+    scale = spec.truth_norm_sq()
 
     def capture(n, x):
         return x.copy() if n in wanted else None
@@ -289,17 +289,11 @@ def enumerate_expectation(problem, data, policy, n_steps, variant="shb", metric=
     spec = RunSpec(problem=problem, policy=policy, n_iters=n_steps, data=data,
                    variant=variant, metric=metric, x0=x0,
                    record=np.arange(n_steps + 1))
+    ctx = _trace_context(spec)
     total = np.zeros(n_steps + 1)
-    count = 0
-    grid, truth = problem.grid, problem.truth
-
     for path in itertools.product(range(p), repeat=n_steps):
-        trace = run(problem, data, policy, n_steps, variant=variant, x0=x0,
-                    observer=lambda n, x: rel_err_sq(x, truth, grid, metric),
-                    index_path=np.asarray(path, dtype=np.intp))
-        total += trace
-        count += 1
-    return total / count
+        total += _error_trace(spec, ctx, index_path=np.asarray(path, dtype=np.intp))
+    return total / p**n_steps
 
 
 @dataclass(frozen=True)
@@ -316,24 +310,24 @@ class SourceConditionInstance:
     m0: float
 
 
-def source_condition_construct(bundle, grid, lambda_dagger, x0, policy):
+def source_condition_construct(bundle, lambda_dagger, x0, policy):
     """Build an instance with truth = x0 + (adjoint of the stacked map) lambda.
 
     The exact data is synthesized from the constructed truth, and
     ``m0 = ||x0 - truth||_w^2 + c0 * sum_i lambda_i^2 / eta_i`` is evaluated
-    against the policy's steps.
+    against the policy's steps.  The instance lives on the bundle's grid.
     """
     lam = np.asarray(lambda_dagger, dtype=float)
     if lam.shape != (bundle.p,):
         raise ValueError("need one representer component per equation")
-    start = np.zeros(grid.m) if x0 is None else np.asarray(x0, dtype=float)
+    start = np.zeros(bundle.grid.m) if x0 is None else np.asarray(x0, dtype=float)
     truth = start + bundle.adjoint_all(lam)
     base = resolve_base_steps(policy, bundle)
     constants = RateConstants.for_policy(bundle, policy)
-    m0 = grid.norm_sq(start - truth) + constants.c0 * float(np.sum(lam**2 / base))
+    m0 = bundle.grid.norm_sq(start - truth) + constants.c0 * float(np.sum(lam**2 / base))
     problem = ProblemInstance(
         name="source-condition",
-        grid=grid,
+        grid=bundle.grid,
         sample_points=np.arange(bundle.p, dtype=float),
         bundle=bundle,
         truth=truth,

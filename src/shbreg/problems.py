@@ -32,7 +32,7 @@ class ProblemInstance:
 
     ``exact_data[i]`` is the forward map of ``truth`` through row i; the
     constructor recomputes and checks it so that stored data can never drift
-    from the operator.
+    from the operator.  The bundle must be built on ``grid`` itself.
     """
 
     name: str
@@ -46,6 +46,8 @@ class ProblemInstance:
         object.__setattr__(self, "sample_points", _frozen_array(self.sample_points))
         object.__setattr__(self, "truth", _frozen_array(self.truth))
         object.__setattr__(self, "exact_data", _frozen_array(self.exact_data))
+        if self.bundle.grid is not self.grid:
+            raise ValueError("bundle and problem must share the grid")
         if self.sample_points.size != self.bundle.p:
             raise ValueError("one sample point per equation is required")
         if self.truth.shape != self.grid.nodes.shape:

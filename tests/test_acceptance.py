@@ -135,7 +135,7 @@ def source_instance():
         RowOperator(rng.standard_normal(64), grid) for _ in range(20)))
     lam = rng.standard_normal(20)
     policy = StepPolicy.constant(0.6)
-    instance = source_condition_construct(bundle, grid, lam, np.zeros(64), policy)
+    instance = source_condition_construct(bundle, lam, np.zeros(64), policy)
     constants = RateConstants.for_policy(bundle, policy, m0=instance.m0)
     return instance, policy, constants
 

@@ -5,6 +5,7 @@ from shbreg import (
     EnsembleResult,
     Grid,
     OperatorBundle,
+    Regularizer,
     RowOperator,
     RunSpec,
     StepPolicy,
@@ -73,18 +74,43 @@ class TestRelErr:
             rel_err_sq(np.ones(9), np.zeros(9), grid)
 
 
+class TestRunSpec:
+    def test_unknown_metric_rejected(self):
+        problem = random_instance(2, 6, seed=25)
+        for metric in ("linf", "L2", None):
+            with pytest.raises(ValueError, match="metric"):
+                RunSpec(problem=problem, policy=StepPolicy.constant(0.5), n_iters=5,
+                        metric=metric)
+
+    def test_dual_run_with_initial_guess_rejected(self):
+        problem = random_instance(2, 6, seed=26)
+        with pytest.raises(ValueError, match="no x0"):
+            RunSpec(problem=problem, policy=StepPolicy.constant(0.5), n_iters=5,
+                    regularizer=Regularizer.entropy_on_simplex(problem.grid), x0=np.ones(6))
+
+    def test_dual_run_with_sgd_variant_rejected(self):
+        problem = random_instance(2, 6, seed=27)
+        with pytest.raises(ValueError, match="sgd"):
+            RunSpec(problem=problem, policy=StepPolicy.constant(0.5), n_iters=5,
+                    regularizer=Regularizer.entropy_on_simplex(problem.grid), variant="sgd")
+
+
 class TestMonteCarlo:
     def test_single_run_matches_direct_run(self):
         problem = random_instance(4, 10, seed=20)
         data = add_noise(problem, 0.05, seed=1)
         policy = StepPolicy.constant(0.6)
-        spec = RunSpec(problem=problem, policy=policy, n_iters=30, data=data)
-        result = monte_carlo(spec, 1, base_seed=5)
-        assert np.all(result.std_err == 0.0)
+        x0 = np.linspace(-0.5, 0.5, 10)
+        for metric, start in (("l2", None), ("l1", None), ("l2", x0), ("l1", x0)):
+            spec = RunSpec(problem=problem, policy=policy, n_iters=30, data=data,
+                           metric=metric, x0=start)
+            result = monte_carlo(spec, 1, base_seed=5)
+            assert np.all(result.std_err == 0.0)
 
-        errors = run(problem, data, policy, 30, seed=(5, 0),
-                     observer=lambda n, x: rel_err_sq(x, problem.truth, problem.grid))
-        np.testing.assert_array_equal(result.mean_sq_rel_err, np.asarray(errors))
+            errors = run(problem, data, policy, 30, seed=(5, 0), x0=start,
+                         observer=lambda n, x: rel_err_sq(x, problem.truth, problem.grid,
+                                                          metric))
+            np.testing.assert_array_equal(result.mean_sq_rel_err, np.asarray(errors))
 
     def test_single_equation_has_no_spread(self):
         problem = random_instance(1, 8, seed=21)
@@ -126,10 +152,13 @@ class TestEnumeration:
     def test_single_equation_equals_deterministic_run(self):
         problem = random_instance(1, 6, seed=30)
         policy = StepPolicy.constant(0.5)
-        exact = enumerate_expectation(problem, None, policy, 8)
-        trace = run(problem, None, policy, 8,
-                    observer=lambda n, x: rel_err_sq(x, problem.truth, problem.grid))
-        np.testing.assert_allclose(exact, np.asarray(trace), rtol=1e-15)
+        x0 = np.linspace(0.0, 1.0, 6)
+        for metric, start in (("l2", None), ("l1", None), ("l2", x0), ("l1", x0)):
+            exact = enumerate_expectation(problem, None, policy, 8, metric=metric, x0=start)
+            trace = run(problem, None, policy, 8, x0=start,
+                        observer=lambda n, x: rel_err_sq(x, problem.truth, problem.grid,
+                                                         metric))
+            np.testing.assert_array_equal(exact, np.asarray(trace))
 
     def test_zero_steps(self):
         problem = random_instance(3, 6, seed=31)
@@ -163,7 +192,7 @@ class TestSourceCondition:
         bundle = OperatorBundle(rows=tuple(
             RowOperator(rng.standard_normal(10), grid) for _ in range(4)))
         x0 = rng.standard_normal(10)
-        instance = source_condition_construct(bundle, grid, np.zeros(4), x0,
+        instance = source_condition_construct(bundle, np.zeros(4), x0,
                                               StepPolicy.constant(0.6))
         np.testing.assert_array_equal(instance.problem.truth, x0)
         assert instance.m0 == 0.0
@@ -176,8 +205,8 @@ class TestSourceCondition:
         lam = rng.standard_normal(5)
         policy = StepPolicy.constant(0.6)
         x0 = np.zeros(12)
-        base = source_condition_construct(bundle, grid, lam, x0, policy)
-        scaled = source_condition_construct(bundle, grid, 3.0 * lam, x0, policy)
+        base = source_condition_construct(bundle, lam, x0, policy)
+        scaled = source_condition_construct(bundle, 3.0 * lam, x0, policy)
         np.testing.assert_allclose(scaled.problem.truth, 3.0 * base.problem.truth,
                                    rtol=1e-12)
         assert scaled.m0 == pytest.approx(9.0 * base.m0, rel=1e-12)
@@ -190,7 +219,7 @@ class TestSourceCondition:
         lam = rng.standard_normal(5)
         x0 = rng.standard_normal(16)
         policy = StepPolicy.constant(0.6)
-        instance = source_condition_construct(bundle, grid, lam, x0, policy)
+        instance = source_condition_construct(bundle, lam, x0, policy)
         etas = resolve_base_steps(policy, bundle)
         expected = (grid.norm_sq(x0 - instance.problem.truth)
                     + (1 - 0.6) * float(np.sum(lam**2 / etas)))
@@ -203,7 +232,7 @@ class TestSourceCondition:
             RowOperator(rng.standard_normal(16), grid) for _ in range(5)))
         lam = rng.standard_normal(5)
         x0 = rng.standard_normal(16)
-        instance = source_condition_construct(bundle, grid, lam, x0,
+        instance = source_condition_construct(bundle, lam, x0,
                                               StepPolicy.constant(0.6))
         # weighted least squares of (truth - x0) on the kernel rows
         sqrt_w = np.sqrt(grid.weights)

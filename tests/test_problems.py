@@ -85,6 +85,18 @@ class TestProblemConsistency:
                 ProblemInstance(name="bad", grid=grid, sample_points=[0.0], bundle=bundle,
                                 truth=truth, exact_data=bundle.apply_all(truth))
 
+    def test_bundle_on_another_grid_rejected(self):
+        # same size and interval, different weights: the solver would step
+        # with one geometry and the errors be measured with the other
+        grid = Grid.uniform(0.0, 1.0, 4)
+        nodes = np.array([0.0, 0.2, 0.7, 1.0])
+        other = Grid(a=0.0, b=1.0, nodes=nodes, weights=np.array([0.1, 0.35, 0.4, 0.15]))
+        bundle = OperatorBundle(rows=(RowOperator(np.ones(4), other),))
+        truth = np.ones(4)
+        with pytest.raises(ValueError, match="share the grid"):
+            ProblemInstance(name="bad", grid=grid, sample_points=[0.0], bundle=bundle,
+                            truth=truth, exact_data=bundle.apply_all(truth))
+
 
 class TestNoise:
     def test_zero_level_returns_exact_data(self):

@@ -275,7 +275,7 @@ class TestRun:
         with pytest.raises(ValueError, match="one entry per equation"):
             run(problem, shifted[:-1], StepPolicy.constant(0.5), 10)
 
-    def test_non_finite_data_rejected(self):
+    def test_non_finite_data_rejected(self, monkeypatch):
         problem = random_instance(5, 8, seed=16)
         data = problem.exact_data.copy()
         data[3] = np.nan
@@ -286,9 +286,13 @@ class TestRun:
         with pytest.raises(ValueError, match="finite"):
             NoisyData(values=data, per_eq_levels=np.zeros(5), total_level=0.0, rel_level=0.0,
                       seed=0)
-        # an ensemble stops instead of writing NaN rows to its CSV
+        # an ensemble stops with the run's own error instead of writing NaN
+        # rows to its CSV, serial or pooled
         spec = RunSpec(problem=problem, policy=StepPolicy.constant(0.5), n_iters=10, data=data)
-        with pytest.raises(RuntimeError, match="finite"):
+        with pytest.raises(ValueError, match="finite"):
+            monte_carlo(spec, 2, base_seed=1)
+        monkeypatch.setenv("SHB_THREADS", "2")
+        with pytest.raises(ValueError, match="finite"):
             monte_carlo(spec, 2, base_seed=1)
 
     def test_non_finite_initial_guess_rejected(self):
@@ -359,7 +363,7 @@ class TestExactDataEnergyDecay:
         bundle = OperatorBundle(rows=tuple(
             RowOperator(rng.standard_normal(6), grid) for _ in range(2)))
         policy = StepPolicy.constant(0.6)
-        instance = source_condition_construct(bundle, grid, rng.standard_normal(2),
+        instance = source_condition_construct(bundle, rng.standard_normal(2),
                                               np.zeros(6), policy)
         problem = instance.problem
         etas = resolve_base_steps(policy, bundle)
