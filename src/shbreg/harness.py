@@ -9,13 +9,14 @@ constructor for instances whose truth has a known source representation
 statistics, and a checker that compares an ensemble against a theoretical
 bound with Monte Carlo slack.
 
-One ``_error_functional`` serves :func:`rel_err_sq`, the traces of
-:func:`monte_carlo` and :func:`enumerate_expectation` and ``RunSpec.truth_norm_sq``,
-so traces match observer-side :func:`rel_err_sq` calls bit for bit; ensembles
-raise the ``ValueError`` of their runs.
+Every estimator steps its runs in lockstep blocks through the one step loop
+of :mod:`shbreg.solvers`, each run bit-identical to a single :func:`run`
+along its draws.  One ``_error_functional`` serves :func:`rel_err_sq`, the
+traces of :func:`monte_carlo` and :func:`enumerate_expectation` and
+``RunSpec.truth_norm_sq``, so traces match observer-side :func:`rel_err_sq`
+calls bit for bit; ensembles raise the ``ValueError`` of their runs.
 """
 
-import itertools
 import os
 from concurrent.futures import ProcessPoolExecutor
 
@@ -23,8 +24,13 @@ import numpy as np
 from dataclasses import dataclass
 
 from .problems import ProblemInstance
-from .solvers import RateConstants, index_stream, resolve_base_steps, run
-from .mirror import run_mirror
+from .solvers import (VARIANTS, RateConstants, _drive, _index_block, _prepare, _primal_start,
+                      resolve_base_steps)
+from .mirror import _dual_start
+# not called here: ensembles step blocks of runs through _drive.  The names
+# stay importable because bench/tracing.py patches them.
+from .solvers import run  # noqa: F401
+from .mirror import run_mirror  # noqa: F401
 
 __all__ = [
     "recorded_iters",
@@ -44,6 +50,9 @@ __all__ = [
 ]
 
 ENUMERATION_GUARD = 1_000_000
+# numbers a block of runs may hold at once: per run its n_iters row draws and
+# about eight live length-m vectors (state, gathered rows, temporaries)
+BLOCK_ELEMENTS = 1 << 20
 
 
 def recorded_iters(n_iters, dense_until=1000, stride=10):
@@ -62,18 +71,25 @@ def recorded_iters(n_iters, dense_until=1000, stride=10):
 
 def _error_functional(truth, weights, metric):
     """``(denominator, error)``: the truth's squared weighted norm (l2) or the
-    integral of its absolute value (l1), and iterate -> squared relative error."""
+    integral of its absolute value (l1), and iterate -> squared relative error.
+
+    ``error`` maps an ``(m,)`` iterate to one value and an ``(R, m)`` block to
+    R values, each bit-identical to the value of its row on its own.
+    """
     if metric == "l2":
         denom = float(weights @ (truth * truth))
 
         def error(x):
             d = x - truth
-            return float(weights @ (d * d)) / denom
+            return np.vecdot(d * d, weights) / denom
     elif metric == "l1":
         denom = float(weights @ np.abs(truth))
 
         def error(x):
-            return (float(weights @ np.abs(x - truth)) / denom) ** 2
+            ratio = np.vecdot(np.abs(x - truth), weights) / denom
+            # squared as Python floats, whose power rounds a few values
+            # differently from numpy's square
+            return np.reshape([r**2 for r in np.ravel(ratio).tolist()], np.shape(ratio))
     else:
         raise ValueError("metric must be 'l2' or 'l1'")
     if denom == 0:
@@ -91,7 +107,7 @@ def rel_err_sq(x, truth, grid, norm="l2"):
     truth = np.asarray(truth, dtype=float)
     if x.shape != truth.shape:
         raise ValueError("iterate and truth must have equal length")
-    return _error_functional(truth, grid.weights, norm)[1](x)
+    return float(_error_functional(truth, grid.weights, norm)[1](x))
 
 
 @dataclass(frozen=True)
@@ -99,7 +115,9 @@ class RunSpec:
     """Everything one solver run needs, minus its seed.
 
     ``regularizer`` switches to the dual iteration, which takes no ``x0`` and
-    no ``"sgd"`` variant; ``record`` overrides the default recording schedule.
+    no ``"sgd"`` variant; ``record`` overrides the default recording schedule
+    and is stored sorted, without repeats and read-only.  Every field is
+    checked here, so a bad spec fails before an ensemble starts.
     """
 
     problem: ProblemInstance
@@ -115,16 +133,21 @@ class RunSpec:
     def __post_init__(self):
         if self.metric not in ("l2", "l1"):
             raise ValueError("metric must be 'l2' or 'l1'")
+        if self.variant not in VARIANTS:
+            raise ValueError(f"variant must be one of {VARIANTS}")
+        if self.n_iters < 0:
+            raise ValueError("iteration count must be nonnegative")
         if self.regularizer is not None and (self.x0 is not None or self.variant != "shb"):
             raise ValueError("dual runs start at zero with momentum: no x0, no 'sgd' variant")
+        if self.record is not None:
+            rec = np.unique(np.asarray(self.record, dtype=int))
+            if rec.size == 0 or rec.min() < 0 or rec.max() > self.n_iters:
+                raise ValueError("recorded indices must lie in [0, n_iters]")
+            rec.setflags(write=False)
+            object.__setattr__(self, "record", rec)
 
     def record_points(self):
-        if self.record is None:
-            return recorded_iters(self.n_iters)
-        rec = np.unique(np.asarray(self.record, dtype=int))
-        if rec.size == 0 or rec.min() < 0 or rec.max() > self.n_iters:
-            raise ValueError("recorded indices must lie in [0, n_iters]")
-        return rec
+        return recorded_iters(self.n_iters) if self.record is None else self.record
 
     def truth_norm_sq(self):
         denom, _ = _error_functional(self.problem.truth, self.problem.grid.weights, self.metric)
@@ -164,29 +187,58 @@ def _trace_context(spec):
     return rec, wanted, error
 
 
-def _error_trace(spec, ctx, seed=0, index_path=None):
-    """Errors of one run at the recorded indices of ``ctx``.  ``run`` and
-    ``run_mirror`` are module globals here, which bench/tracing.py patches."""
-    rec, wanted, error = ctx
-    out = np.empty(rec.size)
+def _block_rows(m, n_iters):
+    """Runs per lockstep block: as many as BLOCK_ELEMENTS allows, at least one."""
+    return max(1, BLOCK_ELEMENTS // (n_iters + 8 * m))
+
+
+def _recorder(wanted, out, measure, name):
+    """Observer of a block that writes ``measure(x)``, one value per run, into
+    the column of ``out`` of each recorded step.
+
+    Raises ``ValueError`` naming the run (``name(row)``) and the step when a
+    recorded value is not finite, which is how overflow from finite input
+    shows.
+    """
 
     def observer(n, x):
         k = wanted.get(n)
         if k is not None:
-            out[k] = error(x)
+            values = measure(x)
+            bad = ~np.isfinite(values)
+            if bad.any():
+                raise ValueError(f"{name(int(np.argmax(bad)))} turned non-finite at step {n}")
+            out[:, k] = values
 
-    if spec.regularizer is not None:
-        run_mirror(spec.problem, spec.data, spec.regularizer, spec.policy, spec.n_iters,
-                   seed=seed, observer=observer, index_path=index_path)
+    return observer
+
+
+def _run_block(spec, index_block, observer):
+    """Drive the runs of ``spec`` along the rows of ``index_block`` in lockstep,
+    with the checks of a single :func:`run` / :func:`run_mirror`."""
+    problem = spec.problem
+    if spec.regularizer is None:
+        v, momentum, read_out = _primal_start(problem, spec.policy, spec.variant, spec.x0)
     else:
-        run(spec.problem, spec.data, spec.policy, spec.n_iters, seed=seed,
-            variant=spec.variant, x0=spec.x0, observer=observer, index_path=index_path)
-    return out
+        v, momentum, read_out = _dual_start(problem, spec.regularizer, spec.policy)
+    prepared = _prepare(problem, spec.data, spec.policy, spec.n_iters, None, index_block)
+    return _drive(prepared, np.tile(v, (len(index_block), 1)), momentum, read_out, observer)
 
 
 def _trace_block(spec, base_seed, start, stop):
-    ctx = _trace_context(spec)
-    return np.vstack([_error_trace(spec, ctx, (base_seed, r)) for r in range(start, stop)])
+    """Error traces of runs ``start..stop-1`` (streams ``(base_seed, r)``), one
+    row per run, stepped in lockstep blocks of at most :func:`_block_rows`."""
+    rec, wanted, error = _trace_context(spec)
+    traces = np.empty((stop - start, rec.size))
+    rows = _block_rows(spec.problem.m, spec.n_iters)
+    for lo in range(start, stop, rows):
+        hi = min(lo + rows, stop)
+        idx = _index_block([(base_seed, r) for r in range(lo, hi)], spec.problem.p,
+                           spec.n_iters)
+        observer = _recorder(wanted, traces[lo - start:hi - start], error,
+                             lambda k: f"run {(base_seed, lo + k)}")
+        _run_block(spec, idx, observer)
+    return traces
 
 
 def _worker_count(n_runs):
@@ -223,12 +275,21 @@ def monte_carlo(spec, n_runs, base_seed):
     """Average squared relative errors over independent runs.
 
     Run r draws its equation indices from the stream ``(base_seed, r)``, so
-    the ensemble is reproducible and independent of execution order.  The
-    environment variable ``SHB_THREADS`` caps a process pool that fans the
-    runs out; per-run traces are stacked in run order before reduction, so
-    the result is identical for any worker count.  A failing run aborts the
-    whole ensemble with its own exception: invalid input raises the same
-    ``ValueError`` as a single :func:`shbreg.solvers.run`, serial or pooled.
+    the ensemble is reproducible and independent of execution order.  Runs
+    are stepped in lockstep blocks: one pass of the step loop advances a
+    whole block as ``(R, m)`` arrays.  Each run of a block performs the same
+    floating-point operations as a single :func:`shbreg.solvers.run` (or
+    :func:`shbreg.mirror.run_mirror`) along its stream, so its errors are
+    bit-identical to that run's; block sizes are capped by a fixed element
+    count (``BLOCK_ELEMENTS``), so memory stays flat in the number of runs.
+    The environment variable ``SHB_THREADS`` caps a process pool that splits
+    the runs into contiguous ranges, one per worker; per-run traces are
+    stacked in run order before reduction, so the result is identical for
+    any worker count.  A failing run aborts the whole ensemble with its own
+    exception: invalid input raises the same ``ValueError`` as a single
+    :func:`shbreg.solvers.run`, serial or pooled, and a recorded error that
+    turns non-finite (overflow from finite input) raises ``ValueError``
+    naming the run's stream key and the step.
     """
     if n_runs < 1:
         raise ValueError("need at least one run")
@@ -257,22 +318,31 @@ def stability_gap_ensemble(problem, data, policy, n_iters, n_runs, base_seed,
         raise ValueError("need at least one run")
     spec = RunSpec(problem=problem, policy=policy, n_iters=n_iters, data=data,
                    variant=variant, record=record)
-    rec = spec.record_points()
-    wanted = set(int(v) for v in rec)
-    grid = problem.grid
+    rec, wanted, _ = _trace_context(spec)
+    weights = problem.grid.weights
     scale = spec.truth_norm_sq()
-
-    def capture(n, x):
-        return x.copy() if n in wanted else None
-
+    p = problem.p
+    v, momentum, _ = _primal_start(problem, policy, variant, None)
     traces = np.empty((n_runs, rec.size))
-    for r in range(n_runs):
-        path = index_stream((base_seed, r), problem.p, n_iters)
-        noisy = run(problem, data, policy, n_iters, variant=variant,
-                    observer=capture, index_path=path)
-        exact = run(problem, None, policy, n_iters, variant=variant,
-                    observer=capture, index_path=path)
-        traces[r] = [grid.norm_sq(a - b) / scale for a, b in zip(noisy, exact)]
+    rows = max(1, _block_rows(problem.m, n_iters) // 2)
+    for lo in range(0, n_runs, rows):
+        hi = min(lo + rows, n_runs)
+        idx = _index_block([(base_seed, r) for r in range(lo, hi)], p, n_iters)
+        K, Kw, y, base, idx, floor = _prepare(problem, data, policy, n_iters, None, idx)
+        # the exact-data runs step through a second copy of the system, rows
+        # p..2p-1, that carries the exact data, so one block holds both halves
+        # and each pair takes the same draws in lockstep
+        doubled = (np.vstack([K, K]), np.vstack([Kw, Kw]),
+                   np.concatenate([y, problem.exact_data]), np.tile(base, 2),
+                   np.vstack([idx, idx + p]), None if floor is None else np.tile(floor, 2))
+        half = hi - lo
+
+        def gap(x):
+            d = x[:half] - x[half:]
+            return np.vecdot(d * d, weights) / scale
+
+        observer = _recorder(wanted, traces[lo:hi], gap, lambda k: f"run {(base_seed, lo + k)}")
+        _drive(doubled, np.tile(v, (2 * half, 1)), momentum, None, observer)
     return _summarize(spec, traces, n_runs, base_seed)
 
 
@@ -281,7 +351,8 @@ def enumerate_expectation(problem, data, policy, n_steps, variant="shb", metric=
 
     Enumerates the p**n_steps paths of length ``n_steps`` and averages the
     per-step errors exactly; an independent oracle for what
-    :func:`monte_carlo` estimates.  Guarded at 10**6 paths.
+    :func:`monte_carlo` estimates.  Guarded at 10**6 paths.  The paths are
+    stepped in lockstep blocks and summed in path order.
     """
     p = problem.p
     if p**n_steps > ENUMERATION_GUARD:
@@ -289,11 +360,20 @@ def enumerate_expectation(problem, data, policy, n_steps, variant="shb", metric=
     spec = RunSpec(problem=problem, policy=policy, n_iters=n_steps, data=data,
                    variant=variant, metric=metric, x0=x0,
                    record=np.arange(n_steps + 1))
-    ctx = _trace_context(spec)
+    rec, wanted, error = _trace_context(spec)
+    count = p**n_steps
+    # path k in itertools.product order: the base-p digits of k
+    place = p ** np.arange(n_steps - 1, -1, -1)
     total = np.zeros(n_steps + 1)
-    for path in itertools.product(range(p), repeat=n_steps):
-        total += _error_trace(spec, ctx, index_path=np.asarray(path, dtype=np.intp))
-    return total / p**n_steps
+    rows = _block_rows(problem.m, n_steps)
+    for lo in range(0, count, rows):
+        idx = (np.arange(lo, min(lo + rows, count))[:, None] // place) % p
+        out = np.empty((len(idx), rec.size))
+        _run_block(spec, idx, _recorder(wanted, out, error,
+                                        lambda k: f"path {tuple(idx[k].tolist())}"))
+        for trace in out:
+            total += trace
+    return total / count
 
 
 @dataclass(frozen=True)

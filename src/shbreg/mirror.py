@@ -84,14 +84,18 @@ def mirror_map(reg, xi):
     Entropy case: exp(xi) normalized by its quadrature integral, evaluated
     with a max shift so large dual variables cannot overflow (the shift
     cancels in the normalization).  Quadratic case: the center plus xi.
+    ``xi`` may hold a block of dual variables as the rows of an ``(R, m)``
+    array; each row is mapped on its own, bit for bit as a single ``(m,)``
+    one is.
     """
     xi = np.asarray(xi, dtype=float)
-    if xi.shape != reg.grid.nodes.shape:
-        raise ValueError("dual variable must be sampled on the grid")
+    if xi.ndim > 2 or xi.shape[-1:] != reg.grid.nodes.shape:
+        raise ValueError("dual variable must be sampled on the grid, one row per run")
     if reg.kind == "quadratic":
         return reg.x0 + xi
-    shifted = np.exp(xi - xi.max())
-    return shifted / reg.grid.integrate(shifted)
+    # the transposes apply each row's own max and integral and keep rows C-ordered
+    shifted = np.exp((xi.T - xi.max(axis=-1)).T)
+    return (shifted.T / np.vecdot(shifted, reg.grid.weights)).T
 
 
 def bregman_distance(reg, x_bar, x):
@@ -147,12 +151,17 @@ def run_mirror(problem, data, reg, policy, n_iters, seed=0, observer=None, index
         full-scope ``mu0 >= 2 * mu``, and on every input :func:`run` rejects
         apart from its variant, ``mu0`` and initial-guess checks.
     """
+    v, momentum, read_out = _dual_start(problem, reg, policy)
+    prepared = _prepare(problem, data, policy, n_iters, seed, index_path)
+    return _drive(prepared, v, momentum, read_out, observer)
+
+
+def _dual_start(problem, reg, policy):
+    """Checks of :func:`run_mirror` before set-up: returns ``(v, momentum, read_out)``."""
     if reg.grid is not problem.grid:
         raise ValueError("regularizer and problem must share the grid")
     if policy.norm_scope == "full" and policy.mu0 >= 2 * reg.mu:
         raise ValueError("dual steps need mu0 < 2 * mu for this regularizer")
-    prepared = _prepare(problem, data, policy, n_iters, seed, index_path)
     # mirror_map is looked up at call time, so a replacement installed on this
     # module (bench/tracing.py counts its calls) is the one the loop calls
-    return _drive(problem, prepared, np.zeros(problem.m), True,
-                  functools.partial(mirror_map, reg), observer)
+    return np.zeros(problem.m), True, functools.partial(mirror_map, reg)

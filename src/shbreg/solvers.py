@@ -137,12 +137,23 @@ def _data_vector(problem, data):
     return values
 
 
+def _index_block(seeds, p, n_iters):
+    """Row draws of a block of runs: row k is the stream of ``seeds[k]``, so a
+    run draws the same rows in any block as on its own."""
+    idx = np.empty((len(seeds), n_iters), dtype=np.intp)
+    for k, seed in enumerate(seeds):
+        idx[k] = index_stream(seed, p, n_iters)
+    return idx
+
+
 def _prepare(problem, data, policy, n_iters, seed, index_path):
     """Set-up shared by :func:`run` and :func:`shbreg.mirror.run_mirror`.
 
-    Returns ``(y, base, idx, floor)``: the data vector, the per-equation base
-    steps, the row draws (sampled, or the validated ``index_path``) and the
-    gate floor ``tau * per_eq_levels`` (None for constant policies).
+    Returns ``(K, Kw, y, base, idx, floor)``: the kernel matrix and its
+    weighted form, the data vector, the per-equation base steps, the row
+    draws (sampled, or the validated ``index_path``; an ``(R, N)`` block
+    holds one run per row) and the gate floor ``tau * per_eq_levels`` (None
+    for constant policies).
     """
     if n_iters < 0:
         raise ValueError("iteration count must be nonnegative")
@@ -160,21 +171,29 @@ def _prepare(problem, data, policy, n_iters, seed, index_path):
         if policy.per_eq_levels.shape != (p,):
             raise ValueError("policy noise levels must have one entry per equation")
         floor = policy.tau * policy.per_eq_levels
-    return y, base, idx, floor
+    bundle = problem.bundle
+    return bundle.kernel_matrix, bundle.weighted_kernel_matrix, y, base, idx, floor
 
 
-def _drive(problem, prepared, v, momentum, read_out, observer):
+def _drive(prepared, v, momentum, read_out, observer):
     """The step loop of every solver in the package.
 
     ``v`` is the starting variable (the primal iterate, or the dual variable
     of a mirror run) and also starts the accumulator of row corrections.
     Momentum runs replace ``v`` by the running average of itself and the
     accumulator; plain-gradient runs take the accumulator itself.  The
-    iterate is ``v``, or ``read_out(v)`` when a mirror map is given.
+    iterate is ``v``, or ``read_out(v)`` when a mirror map is given.  ``v``
+    is updated in place, so callers hand over an array of their own.
+
+    A single run has ``v`` of shape ``(m,)`` and row draws ``idx`` of shape
+    ``(N,)``.  A block of R runs has ``v`` of shape ``(R, m)`` and ``idx`` of
+    shape ``(R, N)``, and the loop steps all of them at once; the observer
+    then sees ``(R, m)`` iterates.  Every run of a block follows the same
+    floating-point operations as on its own (one BLAS dot per row, the same
+    elementwise updates), so its iterates are bit-identical to a single run
+    along its row of ``idx``, whatever the block size.
     """
-    y, base, idx, floor = prepared
-    K = problem.bundle.kernel_matrix
-    Kw = problem.bundle.weighted_kernel_matrix
+    K, Kw, y, base, idx, floor = prepared
     acc = v.copy()
     x = v if read_out is None else read_out(v)
 
@@ -189,18 +208,50 @@ def _drive(problem, prepared, v, momentum, read_out, observer):
                 collected.append(value)
 
     emit(0, x)
-    for n in range(idx.size):
-        i = idx[n]
-        residual = Kw[i] @ x - y[i]
-        eta = base[i]
-        if floor is not None and abs(residual) <= floor[i]:
-            eta = 0.0
-        if eta != 0.0:
-            acc = acc - (eta * residual) * K[i]
-        v = ((n + 1.0) * v + acc) / (n + 2.0) if momentum else acc
+    # column n holds the rows drawn at step n: a scalar for a single run,
+    # one entry per run for a block
+    cols = idx.T
+    for n in range(cols.shape[0]):
+        i = cols[n]
+        residual = np.vecdot(Kw[i], x) - y[i]
+        gated = floor is not None and abs(residual) <= floor[i]
+        # the transposes scale each gathered row by its own run's factor and
+        # keep the result C-ordered
+        if isinstance(gated, np.ndarray):
+            # a gated block: the runs whose residual is at or below the noise
+            # floor keep their accumulator untouched, the others step
+            live = np.flatnonzero(~gated)
+            acc[live] -= (K[i[live]].T * (base[i[live]] * residual[live])).T
+        elif not gated:
+            # a single run off the gate, or a block without a gate
+            acc -= (K[i].T * (base[i] * residual)).T
+        if momentum:
+            # v = ((n + 1) v + acc) / (n + 2), in place
+            v *= n + 1.0
+            v += acc
+            v /= n + 2.0
+        else:
+            v = acc
         x = v if read_out is None else read_out(v)
         emit(n + 1, x)
     return collected
+
+
+def _primal_start(problem, policy, variant, x0):
+    """Checks of :func:`run` before set-up: returns ``(v, momentum, read_out)``."""
+    if variant not in VARIANTS:
+        raise ValueError(f"variant must be one of {VARIANTS}")
+    if policy.mu0 >= 1:
+        raise ValueError("this solver family needs mu0 < 1")
+    if x0 is None:
+        x = np.zeros(problem.m)
+    else:
+        x = np.array(x0, dtype=float)
+        if x.shape != problem.grid.nodes.shape:
+            raise ValueError("initial guess must be sampled on the grid")
+        if not np.isfinite(x).all():
+            raise ValueError("initial guess must be finite")
+    return x, variant == "shb", None
 
 
 def run(problem, data, policy, n_iters, seed=0, variant="shb", x0=None, observer=None,
@@ -242,20 +293,9 @@ def run(problem, data, policy, n_iters, seed=0, variant="shb", x0=None, observer
         guess that is not a finite vector on the grid.  All checks run
         before the first step.
     """
-    if variant not in VARIANTS:
-        raise ValueError(f"variant must be one of {VARIANTS}")
-    if policy.mu0 >= 1:
-        raise ValueError("this solver family needs mu0 < 1")
-    if x0 is None:
-        x = np.zeros(problem.m)
-    else:
-        x = np.array(x0, dtype=float)
-        if x.shape != problem.grid.nodes.shape:
-            raise ValueError("initial guess must be sampled on the grid")
-        if not np.isfinite(x).all():
-            raise ValueError("initial guess must be finite")
+    v, momentum, read_out = _primal_start(problem, policy, variant, x0)
     prepared = _prepare(problem, data, policy, n_iters, seed, index_path)
-    return _drive(problem, prepared, x, variant == "shb", None, observer)
+    return _drive(prepared, v, momentum, read_out, observer)
 
 
 def a_priori_stop(p, total_level):

@@ -12,6 +12,7 @@ from shbreg import (
     add_noise,
     bound_check,
     enumerate_expectation,
+    index_stream,
     monte_carlo,
     random_instance,
     recorded_iters,
@@ -94,6 +95,35 @@ class TestRunSpec:
             RunSpec(problem=problem, policy=StepPolicy.constant(0.5), n_iters=5,
                     regularizer=Regularizer.entropy_on_simplex(problem.grid), variant="sgd")
 
+    def test_unknown_variant_rejected(self):
+        problem = random_instance(2, 6, seed=28)
+        for variant in ("bogus", "SHB", None):
+            with pytest.raises(ValueError, match="variant"):
+                RunSpec(problem=problem, policy=StepPolicy.constant(0.5), n_iters=5,
+                        variant=variant)
+
+    def test_negative_iteration_count_rejected(self):
+        problem = random_instance(2, 6, seed=29)
+        with pytest.raises(ValueError, match="iteration count"):
+            RunSpec(problem=problem, policy=StepPolicy.constant(0.5), n_iters=-1)
+
+    def test_record_outside_range_rejected(self):
+        problem = random_instance(2, 6, seed=30)
+        for record in ([], [-1, 3], [0, 10], np.arange(12)):
+            with pytest.raises(ValueError, match="recorded indices"):
+                RunSpec(problem=problem, policy=StepPolicy.constant(0.5), n_iters=9,
+                        record=record)
+
+    def test_record_normalized_once(self):
+        problem = random_instance(2, 6, seed=31)
+        spec = RunSpec(problem=problem, policy=StepPolicy.constant(0.5), n_iters=9,
+                       record=[9, 0, 4, 4, 2])
+        np.testing.assert_array_equal(spec.record, [0, 2, 4, 9])
+        assert not spec.record.flags.writeable
+        assert spec.record_points() is spec.record
+        result = monte_carlo(spec, 2, base_seed=1)
+        np.testing.assert_array_equal(result.iters, [0, 2, 4, 9])
+
 
 class TestMonteCarlo:
     def test_single_run_matches_direct_run(self):
@@ -135,11 +165,34 @@ class TestMonteCarlo:
         data = add_noise(problem, 0.1, seed=3)
         spec = RunSpec(problem=problem, policy=StepPolicy.constant(0.6), n_iters=25,
                        data=data)
-        serial = monte_carlo(spec, 6, base_seed=9)
-        monkeypatch.setenv("SHB_THREADS", "3")
-        pooled = monte_carlo(spec, 6, base_seed=9)
-        np.testing.assert_array_equal(serial.mean_sq_rel_err, pooled.mean_sq_rel_err)
-        np.testing.assert_array_equal(serial.std_err, pooled.std_err)
+        # 6 runs split evenly over three workers, 7 runs unevenly (2, 2, 3)
+        for n_runs in (6, 7):
+            monkeypatch.setenv("SHB_THREADS", "1")
+            serial = monte_carlo(spec, n_runs, base_seed=9)
+            monkeypatch.setenv("SHB_THREADS", "3")
+            pooled = monte_carlo(spec, n_runs, base_seed=9)
+            np.testing.assert_array_equal(serial.mean_sq_rel_err, pooled.mean_sq_rel_err)
+            np.testing.assert_array_equal(serial.std_err, pooled.std_err)
+
+    def test_overflow_names_run_and_step(self, monkeypatch):
+        problem = random_instance(3, 8, seed=34)
+        # finite data, but equation 1 is so large that the first step on it
+        # overflows the squared error
+        values = problem.exact_data.copy()
+        values[1] = 1e300
+        spec = RunSpec(problem=problem, policy=StepPolicy.constant(0.6), n_iters=12,
+                       data=values, record=np.arange(13))
+        first = [np.flatnonzero(index_stream((4, r), 3, 12) == 1) for r in range(5)]
+        first = [hits[0] if hits.size else 12 for hits in first]
+        step = min(first) + 1
+        culprit = first.index(step - 1)
+        with np.errstate(all="ignore"):
+            with pytest.raises(ValueError, match=rf"run \(4, {culprit}\) turned non-finite "
+                                                 rf"at step {step}$"):
+                monte_carlo(spec, 5, base_seed=4)
+            monkeypatch.setenv("SHB_THREADS", "2")
+            with pytest.raises(ValueError, match=r"run \(4, \d\) turned non-finite"):
+                monte_carlo(spec, 5, base_seed=4)
 
     def test_bad_run_count(self):
         problem = random_instance(2, 6, seed=24)
