@@ -17,6 +17,7 @@ traces of :func:`monte_carlo` and :func:`enumerate_expectation` and
 calls bit for bit; ensembles raise the ``ValueError`` of their runs.
 """
 
+import operator
 import os
 from concurrent.futures import ProcessPoolExecutor
 
@@ -233,8 +234,7 @@ def _trace_block(spec, base_seed, start, stop):
     rows = _block_rows(spec.problem.m, spec.n_iters)
     for lo in range(start, stop, rows):
         hi = min(lo + rows, stop)
-        idx = _index_block([(base_seed, r) for r in range(lo, hi)], spec.problem.p,
-                           spec.n_iters)
+        idx = _index_block(base_seed, lo, hi, spec.problem.p, spec.n_iters)
         observer = _recorder(wanted, traces[lo - start:hi - start], error,
                              lambda k: f"run {(base_seed, lo + k)}")
         _run_block(spec, idx, observer)
@@ -248,6 +248,18 @@ def _worker_count(n_runs):
     except ValueError:
         raise ValueError(f"SHB_THREADS must be an integer, got {raw!r}") from None
     return max(1, min(workers, n_runs))
+
+
+def _stream_base(base_seed):
+    """``base_seed`` as a Python int, checked: the streams ``(base_seed, r)``
+    need a nonnegative integer (a Python or numpy int)."""
+    try:
+        seed = operator.index(base_seed)
+        if seed >= 0:
+            return seed
+    except TypeError:
+        pass
+    raise ValueError(f"base seed must be a nonnegative integer, got {base_seed!r}")
 
 
 def _summarize(spec, traces, n_runs, base_seed):
@@ -275,13 +287,17 @@ def monte_carlo(spec, n_runs, base_seed):
     """Average squared relative errors over independent runs.
 
     Run r draws its equation indices from the stream ``(base_seed, r)``, so
-    the ensemble is reproducible and independent of execution order.  Runs
-    are stepped in lockstep blocks: one pass of the step loop advances a
-    whole block as ``(R, m)`` arrays.  Each run of a block performs the same
-    floating-point operations as a single :func:`shbreg.solvers.run` (or
-    :func:`shbreg.mirror.run_mirror`) along its stream, so its errors are
-    bit-identical to that run's; block sizes are capped by a fixed element
-    count (``BLOCK_ELEMENTS``), so memory stays flat in the number of runs.
+    the ensemble is reproducible and independent of execution order;
+    ``base_seed`` must be a nonnegative integer (``ValueError`` otherwise,
+    before any run).  Runs are stepped in lockstep blocks: the streams of a
+    block are drawn together as arrays, each bit-identical to
+    :func:`shbreg.solvers.index_stream`, and one pass of the step loop
+    advances the whole block as ``(R, m)`` arrays.  Each run of a block
+    performs the same floating-point operations as a single
+    :func:`shbreg.solvers.run` (or :func:`shbreg.mirror.run_mirror`) along
+    its stream, so its errors are bit-identical to that run's; block sizes
+    are capped by a fixed element count (``BLOCK_ELEMENTS``), so memory
+    stays flat in the number of runs.
     The environment variable ``SHB_THREADS`` caps a process pool that splits
     the runs into contiguous ranges, one per worker; per-run traces are
     stacked in run order before reduction, so the result is identical for
@@ -293,6 +309,7 @@ def monte_carlo(spec, n_runs, base_seed):
     """
     if n_runs < 1:
         raise ValueError("need at least one run")
+    base_seed = _stream_base(base_seed)
     workers = _worker_count(n_runs)
     if workers == 1:
         traces = _trace_block(spec, base_seed, 0, n_runs)
@@ -310,12 +327,15 @@ def stability_gap_ensemble(problem, data, policy, n_iters, n_runs, base_seed,
     """Mean squared weighted gap between noisy- and exact-data runs.
 
     Each run replays one index path through both right-hand sides, so the
-    gap isolates pure noise propagation.  The trace is normalized by the
-    squared truth norm, matching the units of :class:`EnsembleResult`;
-    :func:`bound_check` converts back.
+    gap isolates pure noise propagation; run r takes the stream
+    ``(base_seed, r)`` as in :func:`monte_carlo`, with the same check of
+    ``base_seed``.  The trace is normalized by the squared truth norm,
+    matching the units of :class:`EnsembleResult`; :func:`bound_check`
+    converts back.
     """
     if n_runs < 1:
         raise ValueError("need at least one run")
+    base_seed = _stream_base(base_seed)
     spec = RunSpec(problem=problem, policy=policy, n_iters=n_iters, data=data,
                    variant=variant, record=record)
     rec, wanted, _ = _trace_context(spec)
@@ -327,7 +347,7 @@ def stability_gap_ensemble(problem, data, policy, n_iters, n_runs, base_seed,
     rows = max(1, _block_rows(problem.m, n_iters) // 2)
     for lo in range(0, n_runs, rows):
         hi = min(lo + rows, n_runs)
-        idx = _index_block([(base_seed, r) for r in range(lo, hi)], p, n_iters)
+        idx = _index_block(base_seed, lo, hi, p, n_iters)
         K, Kw, y, base, idx, floor = _prepare(problem, data, policy, n_iters, None, idx)
         # the exact-data runs step through a second copy of the system, rows
         # p..2p-1, that carries the exact data, so one block holds both halves

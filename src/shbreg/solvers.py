@@ -118,9 +118,100 @@ def index_stream(seed, p, size):
     Backed by a counter-based generator keyed on ``seed`` (an int or a tuple
     of ints), so ensembles can hand run r the stream ``(base_seed, r)`` and
     stay reproducible and order-independent.
+
+    This is the definition of every stream in the package.  Ensembles draw
+    a whole block of streams at once with numpy's own algorithms redone on
+    arrays (``_index_block``), and every run that the array form cannot
+    reproduce exactly is drawn here instead.
     """
     gen = np.random.Generator(np.random.Philox(np.random.SeedSequence(seed)))
     return gen.integers(0, p, size=size)
+
+
+# numpy's SeedSequence (a pool of four 32-bit words, hashed and mixed) and
+# Philox4x64-10 (Salmon et al., "Parallel random numbers: as easy as 1, 2, 3",
+# SC 2011), redone on arrays of seeds; every constant is numpy's own
+_MASK32 = 0xFFFFFFFF
+_POOL_SIZE = 4
+_HASH_A = (0x43B0D7E5, 0x931E8875)  # (INIT_A, MULT_A): mixing entropy into the pool
+_HASH_B = (0x8B51F9DD, 0x58F38DED)  # (INIT_B, MULT_B): generate_state
+_MIX_L, _MIX_R = np.uint32(0xCA01F9DD), np.uint32(0x4973F715)
+_PHILOX_M = (0xD2E7470EE14C6C93, 0xCA5A826395121157)
+_PHILOX_W = (np.uint64(0x9E3779B97F4A7C15), np.uint64(0xBB67AE8584CAA73B))
+_U16, _U32 = np.uint32(16), np.uint64(32)
+_LOW32 = np.uint64(_MASK32)
+
+
+def _hasher(init, mult):
+    """SeedSequence's ``hashmix`` with its running constant ``h``: xor with
+    h, multiply by ``h * mult``, which is the constant of the next call."""
+    h = init
+
+    def hashmix(value):
+        nonlocal h
+        value = value ^ np.uint32(h)
+        h = (h * mult) & _MASK32
+        value = value * np.uint32(h)
+        return value ^ (value >> _U16)
+
+    return hashmix
+
+
+def _mix(x, y):
+    result = x * _MIX_L - y * _MIX_R
+    return result ^ (result >> _U16)
+
+
+def _philox_keys(entropy):
+    """The two 64-bit Philox keys of each row of ``(R, L)`` uint32 entropy
+    words: ``SeedSequence(words).generate_state(2, np.uint64)``."""
+    n_words = entropy.shape[1]
+    hashmix = _hasher(*_HASH_A)
+    pool = [hashmix(entropy[:, i] if i < n_words else np.zeros_like(entropy[:, 0]))
+            for i in range(_POOL_SIZE)]
+    for src in range(_POOL_SIZE):
+        for dst in range(_POOL_SIZE):
+            if src != dst:
+                pool[dst] = _mix(pool[dst], hashmix(pool[src]))
+    for src in range(_POOL_SIZE, n_words):
+        for dst in range(_POOL_SIZE):
+            pool[dst] = _mix(pool[dst], hashmix(entropy[:, src]))
+    hashmix = _hasher(*_HASH_B)
+    w = [hashmix(word).astype(np.uint64) for word in pool]
+    return w[0] | (w[1] << _U32), w[2] | (w[3] << _U32)
+
+
+def _mulhilo(a, b):
+    """High and low words of the 128-bit products of the constant ``a`` and
+    the uint64 array ``b``, the high word built from 32-bit halves."""
+    a_lo, a_hi = np.uint64(a & _MASK32), np.uint64(a >> 32)
+    b_lo, b_hi = b & _LOW32, b >> _U32
+    lo_lo, lo_hi, hi_lo = a_lo * b_lo, a_lo * b_hi, a_hi * b_lo
+    carry = (lo_lo >> _U32) + (lo_hi & _LOW32) + (hi_lo & _LOW32)
+    hi = a_hi * b_hi + (lo_hi >> _U32) + (hi_lo >> _U32) + (carry >> _U32)
+    return hi, np.uint64(a) * b
+
+
+def _philox_words(key0, key1, size):
+    """The first ``size`` 32-bit outputs of Philox4x64-10 for each key pair,
+    as uint64 of shape ``(R, size)``: counters 1, 2, ... give four 64-bit
+    words each, and each word splits into two draws, low half first."""
+    blocks = -(-size // 8)
+    counter = np.arange(1, blocks + 1, dtype=np.uint64)
+    zero = np.zeros((key0.size, blocks), dtype=np.uint64)
+    ctr = [counter + zero, zero, zero, zero]
+    key0, key1 = key0[:, None], key1[:, None]
+    for rnd in range(10):
+        if rnd:
+            key0, key1 = key0 + _PHILOX_W[0], key1 + _PHILOX_W[1]
+        hi0, lo0 = _mulhilo(_PHILOX_M[0], ctr[0])
+        hi1, lo1 = _mulhilo(_PHILOX_M[1], ctr[2])
+        ctr = [hi1 ^ ctr[1] ^ key0, lo1, hi0 ^ ctr[3] ^ key1, lo0]
+    out = np.stack(ctr, axis=-1).reshape(key0.size, 4 * blocks)
+    words = np.empty((key0.size, 8 * blocks), dtype=np.uint64)
+    words[:, 0::2] = out & _LOW32
+    words[:, 1::2] = out >> _U32
+    return words[:, :size]
 
 
 def _data_vector(problem, data):
@@ -137,12 +228,35 @@ def _data_vector(problem, data):
     return values
 
 
-def _index_block(seeds, p, n_iters):
-    """Row draws of a block of runs: row k is the stream of ``seeds[k]``, so a
-    run draws the same rows in any block as on its own."""
-    idx = np.empty((len(seeds), n_iters), dtype=np.intp)
-    for k, seed in enumerate(seeds):
-        idx[k] = index_stream(seed, p, n_iters)
+def _index_block(base_seed, start, stop, p, n_iters):
+    """Row draws of runs ``start..stop-1``: row k is
+    ``index_stream((base_seed, start + k), p, n_iters)`` bit for bit, so a
+    run draws the same rows in any block as on its own.
+
+    The runs are drawn together as arrays, with numpy's Lemire rule
+    ``(u * p) >> 32`` on their Philox words.  Runs the array form cannot
+    reproduce are drawn by :func:`index_stream` itself: a run with a word
+    numpy rejects (low half of ``u * p`` below ``(2**32 - p) % p``) among its
+    first ``n_iters``, a run index of 2**32 or more (its seed has one more
+    entropy word), and every run when ``p > 2**32`` (numpy's 64-bit path).
+    """
+    idx = np.empty((stop - start, n_iters), dtype=np.intp)
+    vectorized = max(0, min(stop, 2**32) - start) if 1 <= p <= 2**32 else 0
+    redraw = np.arange(vectorized, stop - start)
+    if vectorized:
+        # SeedSequence's little-endian 32-bit words of (base_seed, r)
+        seed_words = [base_seed >> shift & _MASK32
+                      for shift in range(0, max(base_seed.bit_length(), 1), 32)]
+        entropy = np.empty((vectorized, len(seed_words) + 1), dtype=np.uint32)
+        entropy[:, :-1] = seed_words
+        entropy[:, -1] = np.arange(start, start + vectorized, dtype=np.uint32)
+        scaled = _philox_words(*_philox_keys(entropy), n_iters)
+        scaled *= np.uint64(p)
+        exact = ((scaled & _LOW32) >= np.uint64((2**32 - p) % p)).all(axis=1)
+        idx[:vectorized] = scaled >> _U32
+        redraw = np.concatenate([np.flatnonzero(~exact), redraw])
+    for k in redraw.tolist():
+        idx[k] = index_stream((base_seed, start + k), p, n_iters)
     return idx
 
 

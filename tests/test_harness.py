@@ -23,6 +23,7 @@ from shbreg import (
     stability_gap_ensemble,
     write_csv,
 )
+from shbreg import harness
 from shbreg.solvers import resolve_base_steps
 
 
@@ -32,6 +33,10 @@ def make_trace(iters, means, std_errs=None, truth_norm_sq=1.0):
     se = np.zeros_like(means) if std_errs is None else np.asarray(std_errs, dtype=float)
     return EnsembleResult(iters=iters, mean_sq_rel_err=means, std_err=se,
                           n_runs=1, base_seed=0, truth_norm_sq=truth_norm_sq)
+
+
+def no_work(*args, **kwargs):
+    raise AssertionError("an ensemble started work before checking its input")
 
 
 class TestRecordedIters:
@@ -200,6 +205,27 @@ class TestMonteCarlo:
         with pytest.raises(ValueError):
             monte_carlo(spec, 0, base_seed=1)
 
+    def test_bad_base_seed_rejected_before_any_run(self, monkeypatch):
+        problem = random_instance(2, 6, seed=25)
+        spec = RunSpec(problem=problem, policy=StepPolicy.constant(0.5), n_iters=5)
+        monkeypatch.setattr(harness, "_trace_block", no_work)
+        for threads in ("1", "2"):
+            monkeypatch.setenv("SHB_THREADS", threads)
+            for bad in (-1, 2.5, np.float64(3.0), "7", None, (1, 2)):
+                with pytest.raises(ValueError, match="base seed must be a nonnegative integer"):
+                    monte_carlo(spec, 4, base_seed=bad)
+
+    def test_numpy_integer_base_seed_accepted(self):
+        problem = random_instance(2, 6, seed=26)
+        spec = RunSpec(problem=problem, policy=StepPolicy.constant(0.5), n_iters=5)
+        for seed in (3, 2**70 + 1):
+            plain = monte_carlo(spec, 3, base_seed=seed)
+            if seed < 2**63:
+                wide = monte_carlo(spec, 3, base_seed=np.int64(seed))
+                assert type(wide.base_seed) is int and wide.base_seed == seed
+                np.testing.assert_array_equal(wide.mean_sq_rel_err, plain.mean_sq_rel_err)
+            assert plain.base_seed == seed
+
 
 class TestEnumeration:
     def test_single_equation_equals_deterministic_run(self):
@@ -355,6 +381,15 @@ class TestStabilityGap:
         trace = stability_gap_ensemble(problem, data, StepPolicy.constant(0.6),
                                        n_iters=20, n_runs=3, base_seed=2)
         np.testing.assert_array_equal(trace.mean_sq_rel_err, 0.0)
+
+    def test_bad_base_seed_rejected_before_any_run(self, monkeypatch):
+        problem = random_instance(4, 8, seed=52)
+        data = add_noise(problem, 0.2, seed=2)
+        monkeypatch.setattr(harness, "_index_block", no_work)
+        for bad in (-1, 2.5, "7"):
+            with pytest.raises(ValueError, match="base seed must be a nonnegative integer"):
+                stability_gap_ensemble(problem, data, StepPolicy.constant(0.6), n_iters=10,
+                                       n_runs=4, base_seed=bad)
 
     def test_gap_starts_at_zero(self):
         problem = random_instance(4, 8, seed=51)

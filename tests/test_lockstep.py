@@ -73,7 +73,7 @@ def single(spec, path):
 @given(block_cases())
 def test_block_rows_equal_single_runs(case):
     spec, runs, base_seed, bounds = case
-    idx = _index_block([(base_seed, r) for r in range(runs)], spec.problem.p, spec.n_iters)
+    idx = _index_block(base_seed, 0, runs, spec.problem.p, spec.n_iters)
     block = np.array(_run_block(spec, idx, None))  # (n_iters + 1, runs, m)
     assert block.shape == (spec.n_iters + 1, runs, spec.problem.m)
     for r in range(runs):
@@ -92,7 +92,7 @@ def test_block_errors_equal_single_run_errors(case):
     traces = _trace_block(spec, base_seed, 0, runs)
     rec = spec.record_points()
     for r in range(runs):
-        path = _index_block([(base_seed, r)], problem.p, spec.n_iters)[0]
+        path = _index_block(base_seed, r, r + 1, problem.p, spec.n_iters)[0]
         errors = [rel_err_sq(x, problem.truth, problem.grid, spec.metric)
                   for x in single(spec, path)]
         assert np.array_equal(traces[r], np.asarray(errors)[rec])
