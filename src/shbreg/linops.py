@@ -7,18 +7,20 @@ weights,
     <u, v>_w = sum_j w_j u_j v_j,
 
 so that discrete adjoints and operator norms agree with the continuous ones
-in the limit of grid refinement.  Each scalar equation of a first-kind
-integral system contributes one :class:`RowOperator`,
+in the limit of grid refinement.  Equation i of a first-kind integral system
+is the row map
 
     A_i x = sum_j w_j k_i[j] x[j],
 
 the quadrature approximation of the integral of kappa(s_i, t) x(t) over
-[a, b].  A :class:`OperatorBundle` stacks the rows of a whole system and
-caches the packed kernel matrix that the solvers iterate with.
+[a, b].  An :class:`OperatorBundle` holds a whole system as its packed kernel
+matrix, which is what the solvers iterate with; the forward map, the adjoint
+and the row and full norms are computed from it and nowhere else.
+:class:`RowOperator` is the input record of one row.
 """
 
 import numpy as np
-from dataclasses import dataclass, field
+from dataclasses import InitVar, dataclass, field
 
 __all__ = ["Grid", "RowOperator", "OperatorBundle", "bundle_norm_sq"]
 
@@ -52,6 +54,8 @@ class Grid:
         object.__setattr__(self, "nodes", _frozen_array(self.nodes))
         object.__setattr__(self, "weights", _frozen_array(self.weights))
         nodes, weights = self.nodes, self.weights
+        if not (np.isfinite(self.a) and np.isfinite(self.b)):
+            raise ValueError("grid endpoints must be finite")
         if nodes.ndim != 1 or nodes.shape != weights.shape or nodes.size < 2:
             raise ValueError("grid needs 1-d nodes and weights of equal length >= 2")
         if not np.all(np.diff(nodes) > 0):
@@ -60,7 +64,7 @@ class Grid:
             raise ValueError("first grid node must equal a")
         if abs(nodes[-1] - self.b) > 1e-12 * (1.0 + abs(self.b)):
             raise ValueError("last grid node must equal b")
-        if np.any(weights <= 0):
+        if not np.all(weights > 0):  # also rejects NaN
             raise ValueError("quadrature weights must be strictly positive")
         span = self.b - self.a
         if abs(float(weights.sum()) - span) > 1e-12 * abs(span):
@@ -100,76 +104,52 @@ class Grid:
 
 @dataclass(frozen=True)
 class RowOperator:
-    """One scalar equation: the weighted pairing of a kernel row with the unknown.
-
-    ``norm_sq`` caches the squared operator norm in the weighted geometry.
-    For this rank-one map it equals ``<k, k>_w`` (Cauchy-Schwarz is sharp at
-    ``x`` proportional to the kernel row).
-    """
+    """Input record of one equation for ``OperatorBundle(rows=...)``: a kernel
+    row, frozen and checked to be sampled on ``grid``."""
 
     kernel_row: np.ndarray
     grid: Grid
-    norm_sq: float = field(init=False)
 
     def __post_init__(self):
         object.__setattr__(self, "kernel_row", _frozen_array(self.kernel_row))
         if self.kernel_row.shape != self.grid.nodes.shape:
             raise ValueError("kernel row length must match the grid")
-        object.__setattr__(self, "norm_sq", self.grid.norm_sq(self.kernel_row))
-
-    @property
-    def m(self):
-        return self.kernel_row.size
-
-    def apply(self, x):
-        """Forward map ``A x = sum_j w_j k[j] x[j]``."""
-        x = np.asarray(x, dtype=float)
-        if x.shape != self.kernel_row.shape:
-            raise ValueError(f"operand has length {x.size}, expected {self.m}")
-        return float(np.sum(self.grid.weights * self.kernel_row * x))
-
-    def adjoint(self, v):
-        """Adjoint map for the weighted inner product.
-
-        Returns the vector ``k * v``; it satisfies
-        ``apply(x) * v == <x, adjoint(v)>_w`` for every ``x``.
-        """
-        return self.kernel_row * float(v)
 
 
 @dataclass(frozen=True)
 class OperatorBundle:
-    """Stacked row operators of a p-equation system.
+    """The stacked map of a p-equation system, held as its kernel matrix.
 
-    Besides the row list, the bundle caches the packed kernel matrix ``K``
-    (p x m), its weighted counterpart ``K * w`` used by the forward map, the
-    per-row squared norms, and an upper estimate ``full_norm_sq`` of the
-    squared norm of the full stacked map, obtained by power iteration on the
-    weighted normal operator and padded by a factor 1.01 so that step-size
-    admissibility checks against it stay strict.
+    ``rows``, :class:`RowOperator` records on one grid, are stacked once into
+    the kernel matrix ``K`` (p x m) and not kept.  The bundle caches ``K``,
+    ``K * w`` for the forward map, the squared row norms ``<k_i, k_i>_w``
+    (Cauchy-Schwarz is sharp at ``x`` proportional to the row) and
+    ``full_norm_sq = bundle_norm_sq(self)``.
     """
 
-    rows: tuple
+    rows: InitVar[tuple]
     grid: Grid = field(init=False)
     kernel_matrix: np.ndarray = field(init=False)
     weighted_kernel_matrix: np.ndarray = field(init=False)
     row_norms_sq: np.ndarray = field(init=False)
     full_norm_sq: float = field(init=False)
 
-    def __post_init__(self):
-        rows = tuple(self.rows)
+    def __post_init__(self, rows):
+        rows = tuple(rows)
         if len(rows) < 1:
             raise ValueError("a bundle needs at least one row")
         grid = rows[0].grid
         if any(r.grid is not grid for r in rows):
             raise ValueError("all rows must share one grid")
-        object.__setattr__(self, "rows", rows)
-        object.__setattr__(self, "grid", grid)
         K = _frozen_array(np.vstack([r.kernel_row for r in rows]))
+        if not np.isfinite(K).all():
+            raise ValueError("kernel matrix must be finite")
+        object.__setattr__(self, "grid", grid)
         object.__setattr__(self, "kernel_matrix", K)
         object.__setattr__(self, "weighted_kernel_matrix", _frozen_array(K * grid.weights[None, :]))
-        object.__setattr__(self, "row_norms_sq", _frozen_array([r.norm_sq for r in rows]))
-        object.__setattr__(self, "full_norm_sq", _power_norm_sq(K, grid.weights, 1e-10, 10_000))
+        # vecdot is bit-identical to grid.norm_sq of each row; (K * K) @ w is not
+        object.__setattr__(self, "row_norms_sq", _frozen_array(np.vecdot(K * K, grid.weights)))
+        object.__setattr__(self, "full_norm_sq", bundle_norm_sq(self))
 
     @classmethod
     def from_kernel(cls, kernel, sample_points, grid):
@@ -184,7 +164,7 @@ class OperatorBundle:
 
     @property
     def p(self):
-        return len(self.rows)
+        return self.kernel_matrix.shape[0]
 
     def apply_all(self, x):
         """Forward map of every row at once: returns the length-p data vector."""
@@ -195,31 +175,31 @@ class OperatorBundle:
         return self.kernel_matrix.T @ np.asarray(v, dtype=float)
 
 
-def bundle_norm_sq(bundle, tol=1e-10, max_iters=10_000):
+POWER_TOL = 1e-10
+POWER_MAX_ITERS = 10_000
+
+
+def bundle_norm_sq(bundle):
     """Upper estimate of the squared norm of the stacked map.
 
     Power iteration on the weighted normal operator runs until the Rayleigh
-    quotient changes by less than ``tol`` relative; the converged quotient is
-    returned times a safety factor 1.01.
+    quotient changes by less than ``POWER_TOL`` relative; the converged
+    quotient is returned times a safety factor 1.01, so that step-size
+    admissibility checks against it stay strict.  Each call iterates anew
+    from a fixed start and returns ``bundle.full_norm_sq``.
 
     Raises
     ------
     RuntimeError
-        If the quotient has not settled after ``max_iters`` iterations.
+        If the quotient has not settled after ``POWER_MAX_ITERS`` iterations.
     """
-    if tol <= 0:
-        raise ValueError("tol must be positive")
-    return _power_norm_sq(bundle.kernel_matrix, bundle.grid.weights, tol, max_iters)
-
-
-def _power_norm_sq(K, w, tol, max_iters):
+    K, Kw, w = bundle.kernel_matrix, bundle.weighted_kernel_matrix, bundle.grid.weights
     if not np.any(K):
         return 0.0
-    Kw = K * w[None, :]
     rng = np.random.default_rng(1905)
     x = rng.standard_normal(K.shape[1])
     q_prev = -1.0
-    for _ in range(max_iters):
+    for _ in range(POWER_MAX_ITERS):
         g = K.T @ (Kw @ x)  # normal operator in the weighted geometry
         q = float(np.sum(w * x * g) / np.sum(w * x * x))
         scale = float(np.sqrt(np.sum(w * g * g)))
@@ -228,7 +208,8 @@ def _power_norm_sq(K, w, tol, max_iters):
             x = rng.standard_normal(K.shape[1])
             continue
         x = g / scale
-        if q_prev >= 0 and abs(q - q_prev) <= tol * q:
+        if q_prev >= 0 and abs(q - q_prev) <= POWER_TOL * q:
             return 1.01 * q
         q_prev = q
-    raise RuntimeError(f"operator norm estimate did not settle within {max_iters} power iterations")
+    raise RuntimeError(
+        f"operator norm estimate did not settle within {POWER_MAX_ITERS} power iterations")

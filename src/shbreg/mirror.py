@@ -44,8 +44,8 @@ class Regularizer:
     """A strongly convex penalty with a closed-form mirror map.
 
     ``mu`` is the strong-convexity modulus that step-size budgets are checked
-    against: base steps of the dual iteration must stay below
-    ``2 * mu / ||A||^2``.
+    against: dual steps need ``mu0 < 2 * mu`` under either norm scope, so base
+    steps stay below ``2 * mu / ||A||^2`` (full) or ``2 * mu / ||A_i||^2`` (row).
     """
 
     kind: str
@@ -139,17 +139,16 @@ def run_mirror(problem, data, reg, policy, n_iters, seed=0, observer=None, index
     ``index_path``, deterministic given the seed, the same validation before
     the first step): the momentum update is carried in moving-average form
     on the dual variable, which starts at zero, and the primal iterate is
-    read off through :func:`mirror_map` after every step.  Full-scope
-    policies are checked against the admissible budget ``mu0 < 2 * mu``;
-    row-scope policies are accepted unchecked, which is how the quadratic
-    regularizer reproduces the primal solver on its own per-row steps.
+    read off through :func:`mirror_map` after every step.  Both norm scopes
+    are checked against the admissible budget ``mu0 < 2 * mu``; a row-scope
+    policy has ``eta_i ||A_i||^2 == mu0``, the same budget row by row.
 
     Raises
     ------
     ValueError
-        When the regularizer and the problem do not share one grid, on a
-        full-scope ``mu0 >= 2 * mu``, and on every input :func:`run` rejects
-        apart from its variant, ``mu0`` and initial-guess checks.
+        When the regularizer and the problem do not share one grid, on
+        ``mu0 >= 2 * mu``, and on every input :func:`run` rejects apart from
+        its variant, ``mu0`` and initial-guess checks.
     """
     v, momentum, read_out = _dual_start(problem, reg, policy)
     prepared = _prepare(problem, data, policy, n_iters, seed, index_path)
@@ -160,7 +159,7 @@ def _dual_start(problem, reg, policy):
     """Checks of :func:`run_mirror` before set-up: returns ``(v, momentum, read_out)``."""
     if reg.grid is not problem.grid:
         raise ValueError("regularizer and problem must share the grid")
-    if policy.norm_scope == "full" and policy.mu0 >= 2 * reg.mu:
+    if policy.mu0 >= 2 * reg.mu:
         raise ValueError("dual steps need mu0 < 2 * mu for this regularizer")
     # mirror_map is looked up at call time, so a replacement installed on this
     # module (bench/tracing.py counts its calls) is the one the loop calls

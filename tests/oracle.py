@@ -15,12 +15,18 @@ import numpy as np
 from shbreg import step_coefficients
 
 
-def twostep(v, v_prev, n, row, y_i, eta, coefficients=None, read_out=None):
-    """``v_{n+1}`` from ``v_n`` and ``v_{n-1}`` after drawing equation ``row``."""
+def row_apply(bundle, i, x):
+    """``A_i x = sum_j w_j k_i[j] x[j]``, summed here rather than by the solver's
+    ``vecdot`` or the bundle's matrix product."""
+    return float(np.sum(bundle.grid.weights * bundle.kernel_matrix[i] * x))
+
+
+def twostep(v, v_prev, n, bundle, i, y_i, eta, coefficients=None, read_out=None):
+    """``v_{n+1}`` from ``v_n`` and ``v_{n-1}`` after drawing equation ``i``."""
     alpha, beta = step_coefficients(n) if coefficients is None else coefficients
     x = v if read_out is None else read_out(v)
-    residual = row.apply(x) - y_i
-    return v - alpha * eta * residual * row.kernel_row + beta * (v - v_prev)
+    residual = row_apply(bundle, i, x) - y_i
+    return v - alpha * eta * residual * bundle.kernel_matrix[i] + beta * (v - v_prev)
 
 
 def trajectory(problem, y, etas, path, v0, coefficients=None, read_out=None, floor=None):
@@ -28,11 +34,11 @@ def trajectory(problem, y, etas, path, v0, coefficients=None, read_out=None, flo
     zero whenever the drawn equation's residual is at most ``floor[i]``."""
     v = v_prev = np.asarray(v0, dtype=float)
     xs = [v if read_out is None else read_out(v)]
+    bundle = problem.bundle
     for n, i in enumerate(path):
-        row = problem.bundle.rows[i]
         eta = etas[i]
-        if floor is not None and abs(row.apply(xs[-1]) - y[i]) <= floor[i]:
+        if floor is not None and abs(row_apply(bundle, i, xs[-1]) - y[i]) <= floor[i]:
             eta = 0.0
-        v, v_prev = twostep(v, v_prev, n, row, y[i], eta, coefficients, read_out), v
+        v, v_prev = twostep(v, v_prev, n, bundle, i, y[i], eta, coefficients, read_out), v
         xs.append(v if read_out is None else read_out(v))
     return xs

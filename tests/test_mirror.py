@@ -218,6 +218,15 @@ class TestRunMirror:
         reg = Regularizer.entropy_on_simplex(problem.grid)  # mu = 1/2
         with pytest.raises(ValueError, match="mu0"):
             run_mirror(problem, None, reg, StepPolicy.constant(1.0, norm_scope="full"), 5)
+        # a row-scope policy has eta_i ||A_i||^2 == mu0: the same budget row by row
+        for mu0 in (1.0, 5.0):
+            with pytest.raises(ValueError, match="mu0"):
+                run_mirror(problem, None, reg, StepPolicy.constant(mu0), 5)
+        quadratic = Regularizer.quadratic(problem.grid, np.zeros(problem.m))  # mu = 1
+        with pytest.raises(ValueError, match="mu0"):
+            run_mirror(problem, None, quadratic, StepPolicy.constant(2.0), 5)
+        run_mirror(problem, None, reg, StepPolicy.constant(0.99), 5)
+        run_mirror(problem, None, quadratic, StepPolicy.constant(1.99), 5)
 
     def test_matches_single_dual_steps(self):
         problem = build_example2(p=20)

@@ -26,7 +26,7 @@ from shbreg import (
 from shbreg.harness import source_condition_construct
 from shbreg.solvers import resolve_base_steps
 
-from oracle import trajectory
+from oracle import row_apply, trajectory
 
 
 def scalar_problem(value=1.0, m=3):
@@ -87,8 +87,8 @@ class TestStepPolicy:
 
     def test_step_size_constant(self):
         grid = Grid.uniform(0.0, 1.0, 3)
-        bundle = OperatorBundle(rows=(RowOperator(np.full(3, 2.0), grid),  # norm_sq == 4
-                                      RowOperator(np.ones(3), grid)))      # norm_sq == 1
+        bundle = OperatorBundle(rows=(RowOperator(np.full(3, 2.0), grid),  # <k, k>_w == 4
+                                      RowOperator(np.ones(3), grid)))      # <k, k>_w == 1
         np.testing.assert_allclose(resolve_base_steps(StepPolicy.constant(0.6), bundle),
                                    [0.15, 0.6], rtol=1e-15)
 
@@ -163,8 +163,8 @@ class TestSingleSteps:
         z = xs[0]
         for n, i in enumerate(path):
             z_next = (n + 2.0) * xs[n + 1] - (n + 1.0) * xs[n]
-            row = problem.bundle.rows[i]
-            correction = -etas[i] * (row.apply(xs[n]) - data.values[i]) * row.kernel_row
+            residual = row_apply(problem.bundle, i, xs[n]) - data.values[i]
+            correction = -etas[i] * residual * problem.bundle.kernel_matrix[i]
             scale = 1.0 + np.abs(z_next)
             assert np.all(np.abs(z_next - z - correction) <= 1e-10 * scale)
             z = z_next
@@ -219,7 +219,7 @@ class TestRun:
         path = index_stream((11, 0), problem.p, 40)
         trajectory_run = run(problem, data, policy, 40, index_path=path)
         reference = trajectory(problem, data.values, etas, path, np.zeros(9), floor=floor)
-        gated = sum(abs(problem.bundle.rows[i].apply(reference[n]) - data.values[i]) <= floor[i]
+        gated = sum(abs(row_apply(problem.bundle, i, reference[n]) - data.values[i]) <= floor[i]
                     for n, i in enumerate(path))
         assert 0 < gated < path.size
         for a, b in zip(trajectory_run, reference):
