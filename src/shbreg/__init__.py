@@ -20,10 +20,12 @@ from .problems import (
 )
 from .solvers import (
     RateConstants,
+    RunSpec,
     StepPolicy,
     a_priori_stop,
     index_stream,
     rate_bound,
+    recorded_iters,
     run,
     stability_bound,
     step_coefficients,
@@ -37,12 +39,10 @@ from .mirror import (
 )
 from .harness import (
     EnsembleResult,
-    RunSpec,
     SourceConditionInstance,
     bound_check,
     enumerate_expectation,
     monte_carlo,
-    recorded_iters,
     rel_err_sq,
     semi_convergence_stats,
     source_condition_construct,

@@ -16,9 +16,8 @@ import numpy as np
 from .linops import Grid, OperatorBundle, RowOperator
 from .mirror import Regularizer
 from .problems import add_noise, build_example1, build_example2, random_instance
-from .solvers import RateConstants, StepPolicy, rate_bound, stability_bound
+from .solvers import RateConstants, RunSpec, StepPolicy, rate_bound, stability_bound
 from .harness import (
-    RunSpec,
     bound_check,
     enumerate_expectation,
     monte_carlo,

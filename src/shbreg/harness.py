@@ -9,14 +9,17 @@ constructor for instances whose truth has a known source representation
 statistics, and a checker that compares an ensemble against a theoretical
 bound with Monte Carlo slack.
 
-Every estimator steps its runs in lockstep blocks through the one step loop
-of :mod:`shbreg.solvers`, each run bit-identical to a single :func:`run`
-along its draws.  One ``_error_functional`` serves :func:`rel_err_sq`, the
-traces of :func:`monte_carlo` and :func:`enumerate_expectation` and
-``RunSpec.truth_norm_sq``, so traces match observer-side :func:`rel_err_sq`
-calls bit for bit; ensembles raise the ``ValueError`` of their runs.
+Every estimator takes its runs from a :class:`shbreg.solvers.RunSpec`, whose
+constructor checks their input, and steps them in lockstep blocks through
+the one step loop of :mod:`shbreg.solvers`, each run bit-identical to a
+single :func:`run` along its draws.  One ``_error_functional`` serves
+:func:`rel_err_sq`, the traces of :func:`monte_carlo` and
+:func:`enumerate_expectation` and the squared truth norm of every
+:class:`EnsembleResult`, so traces match observer-side :func:`rel_err_sq`
+calls bit for bit.
 """
 
+import math
 import operator
 import os
 from concurrent.futures import ProcessPoolExecutor
@@ -25,18 +28,15 @@ import numpy as np
 from dataclasses import dataclass
 
 from .problems import ProblemInstance
-from .solvers import (VARIANTS, RateConstants, _drive, _index_block, _prepare, _primal_start,
+from .solvers import (RateConstants, RunSpec, _drive, _index_block, _run_block, _system,
                       resolve_base_steps)
-from .mirror import _dual_start
 # not called here: ensembles step blocks of runs through _drive.  The names
 # stay importable because bench/tracing.py patches them.
 from .solvers import run  # noqa: F401
 from .mirror import run_mirror  # noqa: F401
 
 __all__ = [
-    "recorded_iters",
     "rel_err_sq",
-    "RunSpec",
     "EnsembleResult",
     "monte_carlo",
     "stability_gap_ensemble",
@@ -54,20 +54,6 @@ ENUMERATION_GUARD = 1_000_000
 # numbers a block of runs may hold at once: per run its n_iters row draws and
 # about eight live length-m vectors (state, gathered rows, temporaries)
 BLOCK_ELEMENTS = 1 << 20
-
-
-def recorded_iters(n_iters, dense_until=1000, stride=10):
-    """Iteration indices an ensemble records: dense early, strided later.
-
-    Every index up to ``dense_until`` is kept; beyond that every
-    ``stride``-th one, plus always the final iterate.
-    """
-    if n_iters < 0:
-        raise ValueError("iteration count must be nonnegative")
-    if n_iters <= dense_until:
-        return np.arange(n_iters + 1)
-    tail = np.arange(dense_until + stride, n_iters + 1, stride)
-    return np.unique(np.concatenate([np.arange(dense_until + 1), tail, [n_iters]]))
 
 
 def _error_functional(truth, weights, metric):
@@ -111,48 +97,11 @@ def rel_err_sq(x, truth, grid, norm="l2"):
     return float(_error_functional(truth, grid.weights, norm)[1](x))
 
 
-@dataclass(frozen=True)
-class RunSpec:
-    """Everything one solver run needs, minus its seed.
-
-    ``regularizer`` switches to the dual iteration, which takes no ``x0`` and
-    no ``"sgd"`` variant; ``record`` overrides the default recording schedule
-    and is stored sorted, without repeats and read-only.  Every field is
-    checked here, so a bad spec fails before an ensemble starts.
-    """
-
-    problem: ProblemInstance
-    policy: object
-    n_iters: int
-    data: object = None
-    variant: str = "shb"
-    metric: str = "l2"
-    regularizer: object = None
-    x0: np.ndarray = None
-    record: np.ndarray = None
-
-    def __post_init__(self):
-        if self.metric not in ("l2", "l1"):
-            raise ValueError("metric must be 'l2' or 'l1'")
-        if self.variant not in VARIANTS:
-            raise ValueError(f"variant must be one of {VARIANTS}")
-        if self.n_iters < 0:
-            raise ValueError("iteration count must be nonnegative")
-        if self.regularizer is not None and (self.x0 is not None or self.variant != "shb"):
-            raise ValueError("dual runs start at zero with momentum: no x0, no 'sgd' variant")
-        if self.record is not None:
-            rec = np.unique(np.asarray(self.record, dtype=int))
-            if rec.size == 0 or rec.min() < 0 or rec.max() > self.n_iters:
-                raise ValueError("recorded indices must lie in [0, n_iters]")
-            rec.setflags(write=False)
-            object.__setattr__(self, "record", rec)
-
-    def record_points(self):
-        return recorded_iters(self.n_iters) if self.record is None else self.record
-
-    def truth_norm_sq(self):
-        denom, _ = _error_functional(self.problem.truth, self.problem.grid.weights, self.metric)
-        return denom if self.metric == "l2" else denom**2
+def _truth_norm_sq(spec):
+    """Squared truth norm of the spec's metric, which :func:`bound_check`
+    scales a relative trace by: the l2 denominator, or the l1 one squared."""
+    denom, _ = _error_functional(spec.problem.truth, spec.problem.grid.weights, spec.metric)
+    return denom if spec.metric == "l2" else denom**2
 
 
 @dataclass(frozen=True)
@@ -214,18 +163,6 @@ def _recorder(wanted, out, measure, name):
     return observer
 
 
-def _run_block(spec, index_block, observer):
-    """Drive the runs of ``spec`` along the rows of ``index_block`` in lockstep,
-    with the checks of a single :func:`run` / :func:`run_mirror`."""
-    problem = spec.problem
-    if spec.regularizer is None:
-        v, momentum, read_out = _primal_start(problem, spec.policy, spec.variant, spec.x0)
-    else:
-        v, momentum, read_out = _dual_start(problem, spec.regularizer, spec.policy)
-    prepared = _prepare(problem, spec.data, spec.policy, spec.n_iters, None, index_block)
-    return _drive(prepared, np.tile(v, (len(index_block), 1)), momentum, read_out, observer)
-
-
 def _trace_block(spec, base_seed, start, stop):
     """Error traces of runs ``start..stop-1`` (streams ``(base_seed, r)``), one
     row per run, stepped in lockstep blocks of at most :func:`_block_rows`."""
@@ -279,7 +216,7 @@ def _summarize(spec, traces, n_runs, base_seed):
         std_err=std_err,
         n_runs=n_runs,
         base_seed=base_seed,
-        truth_norm_sq=spec.truth_norm_sq(),
+        truth_norm_sq=_truth_norm_sq(spec),
     )
 
 
@@ -301,11 +238,10 @@ def monte_carlo(spec, n_runs, base_seed):
     The environment variable ``SHB_THREADS`` caps a process pool that splits
     the runs into contiguous ranges, one per worker; per-run traces are
     stacked in run order before reduction, so the result is identical for
-    any worker count.  A failing run aborts the whole ensemble with its own
-    exception: invalid input raises the same ``ValueError`` as a single
-    :func:`shbreg.solvers.run`, serial or pooled, and a recorded error that
-    turns non-finite (overflow from finite input) raises ``ValueError``
-    naming the run's stream key and the step.
+    any worker count.  Invalid input never gets this far: ``spec`` checked
+    it when it was built.  A recorded error that turns non-finite (overflow
+    from finite input) aborts the whole ensemble, serial or pooled, with a
+    ``ValueError`` naming the run's stream key and the step.
     """
     if n_runs < 1:
         raise ValueError("need at least one run")
@@ -340,21 +276,19 @@ def stability_gap_ensemble(problem, data, policy, n_iters, n_runs, base_seed,
                    variant=variant, record=record)
     rec, wanted, _ = _trace_context(spec)
     weights = problem.grid.weights
-    scale = spec.truth_norm_sq()
+    scale = _truth_norm_sq(spec)
     p = problem.p
-    v, momentum, _ = _primal_start(problem, policy, variant, None)
+    # the exact-data runs step through a second copy of the system, rows
+    # p..2p-1, that carries the exact data, so one block holds both halves
+    # and each pair takes the same draws in lockstep
+    K, Kw, y, base, floor = _system(spec)
+    doubled = (np.vstack([K, K]), np.vstack([Kw, Kw]), np.concatenate([y, problem.exact_data]),
+               np.tile(base, 2), None if floor is None else np.tile(floor, 2))
     traces = np.empty((n_runs, rec.size))
     rows = max(1, _block_rows(problem.m, n_iters) // 2)
     for lo in range(0, n_runs, rows):
         hi = min(lo + rows, n_runs)
         idx = _index_block(base_seed, lo, hi, p, n_iters)
-        K, Kw, y, base, idx, floor = _prepare(problem, data, policy, n_iters, None, idx)
-        # the exact-data runs step through a second copy of the system, rows
-        # p..2p-1, that carries the exact data, so one block holds both halves
-        # and each pair takes the same draws in lockstep
-        doubled = (np.vstack([K, K]), np.vstack([Kw, Kw]),
-                   np.concatenate([y, problem.exact_data]), np.tile(base, 2),
-                   np.vstack([idx, idx + p]), None if floor is None else np.tile(floor, 2))
         half = hi - lo
 
         def gap(x):
@@ -362,7 +296,8 @@ def stability_gap_ensemble(problem, data, policy, n_iters, n_runs, base_seed,
             return np.vecdot(d * d, weights) / scale
 
         observer = _recorder(wanted, traces[lo:hi], gap, lambda k: f"run {(base_seed, lo + k)}")
-        _drive(doubled, np.tile(v, (2 * half, 1)), momentum, None, observer)
+        _drive(doubled, np.vstack([idx, idx + p]), np.zeros((2 * half, problem.m)),
+               spec.variant == "shb", None, observer)
     return _summarize(spec, traces, n_runs, base_seed)
 
 
@@ -468,22 +403,21 @@ class BoundReport:
         return self.passed
 
 
-def bound_check(trace, bound_fn, slack=0.0, absolute=True):
+def bound_check(trace, bound_fn):
     """Check a trace against a pointwise bound with Monte Carlo slack.
 
-    Passes iff ``value[k] <= bound_fn(iters[k]) * (1 + slack) + 3 * se[k]``
-    at every recorded iteration.  With ``absolute`` (the default) the stored
-    relative trace and its standard error are scaled by the ensemble's
-    squared truth norm first, since bounds are stated in absolute units.
+    The bounds are stated for absolute squared errors, so the stored relative
+    trace and its standard error are first scaled by the ensemble's squared
+    truth norm.  Passes iff ``value[k] <= bound_fn(iters[k]) + 3 * se[k]`` at
+    every recorded iteration; a non-finite allowance (a bound that is NaN or
+    infinite) counts as a violation.
     """
-    if slack < 0:
-        raise ValueError("slack must be nonnegative")
-    scale = trace.truth_norm_sq if absolute else 1.0
+    scale = trace.truth_norm_sq
     violations = []
     for k, n in enumerate(trace.iters):
         value = trace.mean_sq_rel_err[k] * scale
-        allowance = bound_fn(int(n)) * (1.0 + slack) + 3.0 * trace.std_err[k] * scale
-        if value > allowance:
+        allowance = bound_fn(int(n)) + 3.0 * trace.std_err[k] * scale
+        if not (value <= allowance < math.inf):
             violations.append((int(n), float(value), float(allowance)))
     return BoundReport(passed=not violations, violations=tuple(violations))
 

@@ -13,19 +13,18 @@ strongly convex regularizer R.  Two regularizers are provided:
   mirror map is the shift x0 + xi, which reduces the dual iteration exactly
   to the primal momentum iteration started at x0.
 
-The dual iteration has no loop of its own: :func:`run_mirror` validates its
-inputs and steps through the same code as :func:`shbreg.solvers.run`, with
-the mirror map as the read-out.  Progress toward the truth is measured with
-the Bregman distance of R.
+The dual iteration has no loop of its own: :func:`run_mirror` checks its
+inputs as a :class:`shbreg.solvers.RunSpec` and steps through the same code
+as :func:`shbreg.solvers.run`, with the mirror map as the read-out.
+Progress toward the truth is measured with the Bregman distance of R.
 """
 
-import functools
 import math
 
 import numpy as np
 from dataclasses import dataclass
 
-from .solvers import _drive, _prepare
+from .solvers import RunSpec, _run_block, _single_path
 # not called here: run_mirror draws through solvers.index_stream.  The name
 # stays importable because bench/tracing.py patches it.
 from .solvers import index_stream  # noqa: F401
@@ -56,8 +55,8 @@ class Regularizer:
     def __post_init__(self):
         if self.kind not in ("entropy_simplex", "quadratic"):
             raise ValueError("regularizer kind must be 'entropy_simplex' or 'quadratic'")
-        if self.mu <= 0:
-            raise ValueError("strong-convexity modulus must be positive")
+        if not (0 < self.mu < math.inf):
+            raise ValueError("strong-convexity modulus must be positive and finite")
         if self.kind == "quadratic":
             if self.x0 is None:
                 raise ValueError("quadratic regularizers need a center")
@@ -146,21 +145,9 @@ def run_mirror(problem, data, reg, policy, n_iters, seed=0, observer=None, index
     Raises
     ------
     ValueError
-        When the regularizer and the problem do not share one grid, on
-        ``mu0 >= 2 * mu``, and on every input :func:`run` rejects apart from
-        its variant, ``mu0`` and initial-guess checks.
+        On every input :class:`shbreg.solvers.RunSpec` rejects for a dual run
+        (among them a regularizer on another grid and ``mu0 >= 2 * mu``), and
+        on an index path that is not one sequence of rows in ``[0, p)``.
     """
-    v, momentum, read_out = _dual_start(problem, reg, policy)
-    prepared = _prepare(problem, data, policy, n_iters, seed, index_path)
-    return _drive(prepared, v, momentum, read_out, observer)
-
-
-def _dual_start(problem, reg, policy):
-    """Checks of :func:`run_mirror` before set-up: returns ``(v, momentum, read_out)``."""
-    if reg.grid is not problem.grid:
-        raise ValueError("regularizer and problem must share the grid")
-    if policy.mu0 >= 2 * reg.mu:
-        raise ValueError("dual steps need mu0 < 2 * mu for this regularizer")
-    # mirror_map is looked up at call time, so a replacement installed on this
-    # module (bench/tracing.py counts its calls) is the one the loop calls
-    return np.zeros(problem.m), True, functools.partial(mirror_map, reg)
+    spec = RunSpec(problem=problem, policy=policy, n_iters=n_iters, data=data, regularizer=reg)
+    return _run_block(spec, _single_path(spec, seed, index_path), observer)

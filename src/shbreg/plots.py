@@ -7,6 +7,7 @@ __all__ = ["line_plot_svg"]
 _COLORS = ["#1f77b4", "#d62728", "#2ca02c", "#9467bd", "#ff7f0e", "#8c564b", "#17becf"]
 
 _WIDTH, _HEIGHT = 760, 480
+_XLABEL, _YLABEL = "iteration", "mean squared relative error"
 _MARGIN_L, _MARGIN_R, _MARGIN_T, _MARGIN_B = 70, 20, 30, 45
 
 
@@ -17,20 +18,16 @@ def _ticks(lo, hi, count=5):
     return [lo + k * step for k in range(count)]
 
 
-def line_plot_svg(path, curves, title="", xlabel="iteration",
-                  ylabel="mean squared relative error", ylog=True):
+def line_plot_svg(path, curves, title=""):
     """Write one SVG with a polyline per curve.
 
-    ``curves`` is an iterable of (label, x, y).  With ``ylog`` the y values
-    are plotted on a log10 axis; nonpositive values are dropped.
+    ``curves`` is an iterable of (label, x, y).  The y values are plotted on
+    a log10 axis; nonpositive values are dropped.
     """
-    curves = [(str(label), list(map(float, xs)), list(map(float, ys)))
+    curves = [(str(label), [(float(x), math.log10(y)) for x, y in zip(xs, map(float, ys))
+                            if y > 0])
               for label, xs, ys in curves]
-    pts = []
-    for _, xs, ys in curves:
-        for x, y in zip(xs, ys):
-            if not ylog or y > 0:
-                pts.append((x, math.log10(y) if ylog else y))
+    pts = [pt for _, points in curves for pt in points]
     if not pts:
         raise ValueError("nothing to plot")
     x_lo = min(p[0] for p in pts)
@@ -66,27 +63,19 @@ def line_plot_svg(path, curves, title="", xlabel="iteration",
                    f'font-size="11" font-family="sans-serif">{xt:.0f}</text>')
     for yt in _ticks(y_lo, y_hi):
         _, py = to_px(x_lo, yt)
-        label = f"1e{yt:.1f}" if ylog else f"{yt:.3g}"
         out.append(f'<line x1="{_MARGIN_L - 4}" y1="{py:.1f}" x2="{_MARGIN_L}" '
                    f'y2="{py:.1f}" stroke="#333"/>')
         out.append(f'<text x="{_MARGIN_L - 8}" y="{py + 4:.1f}" text-anchor="end" '
-                   f'font-size="11" font-family="sans-serif">{label}</text>')
+                   f'font-size="11" font-family="sans-serif">1e{yt:.1f}</text>')
     out.append(f'<text x="{_MARGIN_L + plot_w / 2}" y="{_HEIGHT - 8}" text-anchor="middle" '
-               f'font-size="12" font-family="sans-serif">{xlabel}</text>')
+               f'font-size="12" font-family="sans-serif">{_XLABEL}</text>')
     out.append(f'<text x="16" y="{_MARGIN_T + plot_h / 2}" text-anchor="middle" '
                f'font-size="12" font-family="sans-serif" '
-               f'transform="rotate(-90 16 {_MARGIN_T + plot_h / 2})">{ylabel}</text>')
+               f'transform="rotate(-90 16 {_MARGIN_T + plot_h / 2})">{_YLABEL}</text>')
 
-    for k, (label, xs, ys) in enumerate(curves):
+    for k, (label, points) in enumerate(curves):
         color = _COLORS[k % len(_COLORS)]
-        coords = []
-        for x, y in zip(xs, ys):
-            if ylog:
-                if y <= 0:
-                    continue
-                y = math.log10(y)
-            px, py = to_px(x, y)
-            coords.append(f"{px:.1f},{py:.1f}")
+        coords = [f"{px:.1f},{py:.1f}" for px, py in (to_px(x, v) for x, v in points)]
         if coords:
             out.append(f'<polyline points="{" ".join(coords)}" fill="none" '
                        f'stroke="{color}" stroke-width="1.5"/>')

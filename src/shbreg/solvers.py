@@ -23,18 +23,22 @@ discrepancy-principle step-size rule freezes updates on equations whose
 residual has dropped to the noise floor.
 """
 
+import functools
 import math
 
 import numpy as np
 from dataclasses import dataclass
 
-from .problems import NoisyData
+from .linops import _frozen_array
+from .problems import NoisyData, ProblemInstance
 
 __all__ = [
     "step_coefficients",
     "StepPolicy",
     "resolve_base_steps",
     "index_stream",
+    "recorded_iters",
+    "RunSpec",
     "run",
     "a_priori_stop",
     "RateConstants",
@@ -78,13 +82,13 @@ class StepPolicy:
         if not (self.mu0 > 0 and math.isfinite(self.mu0)):
             raise ValueError("mu0 must be positive and finite")
         if self.kind == "discrepancy":
-            if self.tau is None or self.tau < 1:
-                raise ValueError("discrepancy policies need tau >= 1")
+            if self.tau is None or not (1 <= self.tau < math.inf):
+                raise ValueError("discrepancy policies need a finite tau >= 1")
             if self.per_eq_levels is None:
                 raise ValueError("discrepancy policies need per-equation noise levels")
             levels = np.array(self.per_eq_levels, dtype=float)
-            if not np.all(levels >= 0):  # also rejects NaN
-                raise ValueError("noise levels must be nonnegative")
+            if not np.all((levels >= 0) & (levels < math.inf)):
+                raise ValueError("noise levels must be nonnegative and finite")
             levels.setflags(write=False)
             object.__setattr__(self, "per_eq_levels", levels)
 
@@ -214,20 +218,6 @@ def _philox_words(key0, key1, size):
     return words[:, :size]
 
 
-def _data_vector(problem, data):
-    if data is None:
-        return problem.exact_data
-    if isinstance(data, NoisyData):
-        values = data.values  # checked finite when it was built
-    else:
-        values = np.asarray(data, dtype=float)
-        if not np.isfinite(values).all():
-            raise ValueError("data values must be finite")
-    if values.shape != (problem.p,):
-        raise ValueError("data must have one entry per equation")
-    return values
-
-
 def _index_block(base_seed, start, stop, p, n_iters):
     """Row draws of runs ``start..stop-1``: row k is
     ``index_stream((base_seed, start + k), p, n_iters)`` bit for bit, so a
@@ -260,38 +250,122 @@ def _index_block(base_seed, start, stop, p, n_iters):
     return idx
 
 
-def _prepare(problem, data, policy, n_iters, seed, index_path):
-    """Set-up shared by :func:`run` and :func:`shbreg.mirror.run_mirror`.
+DENSE_RECORDS = 1000
+RECORD_STRIDE = 10
 
-    Returns ``(K, Kw, y, base, idx, floor)``: the kernel matrix and its
-    weighted form, the data vector, the per-equation base steps, the row
-    draws (sampled, or the validated ``index_path``; an ``(R, N)`` block
-    holds one run per row) and the gate floor ``tau * per_eq_levels`` (None
-    for constant policies).
+
+def recorded_iters(n_iters):
+    """Iteration indices an ensemble records: dense early, strided later.
+
+    Every index up to ``DENSE_RECORDS`` is kept; beyond that every
+    ``RECORD_STRIDE``-th one, plus always the final iterate.
     """
     if n_iters < 0:
         raise ValueError("iteration count must be nonnegative")
-    y = _data_vector(problem, data)
-    p = problem.p
-    base = resolve_base_steps(policy, problem.bundle)
-    if index_path is None:
-        idx = index_stream(seed, p, n_iters)
-    else:
-        idx = np.asarray(index_path, dtype=np.intp)
-        if idx.size and (idx.min() < 0 or idx.max() >= p):
-            raise ValueError("index path entries must lie in [0, p)")
-    floor = None
-    if policy.is_discrepancy:
-        if policy.per_eq_levels.shape != (p,):
+    if n_iters <= DENSE_RECORDS:
+        return np.arange(n_iters + 1)
+    tail = np.arange(DENSE_RECORDS + RECORD_STRIDE, n_iters + 1, RECORD_STRIDE)
+    return np.unique(np.concatenate([np.arange(DENSE_RECORDS + 1), tail, [n_iters]]))
+
+
+@dataclass(frozen=True)
+class RunSpec:
+    """Everything one solver run needs, minus its row draws.
+
+    :func:`run`, :func:`shbreg.mirror.run_mirror` and every ensemble set
+    their runs up from a spec, and its constructor is the only check of a
+    run's input: bad input raises ``ValueError`` here, before the first step
+    and before an ensemble starts a worker.  It rejects
+
+    * a ``metric`` other than ``"l2"`` / ``"l1"``, a ``variant`` other than
+      ``"shb"`` / ``"sgd"``, a negative ``n_iters``, and a ``record``
+      schedule that is empty or leaves ``[0, n_iters]``;
+    * primal runs with ``mu0 >= 1`` or an ``x0`` that is not a finite vector
+      on the problem's grid;
+    * dual runs (``regularizer`` given) with an ``x0``, the ``"sgd"`` variant,
+      a regularizer on another grid, or ``mu0 >= 2 * mu`` under either norm
+      scope (a row-scope policy has ``eta_i ||A_i||^2 == mu0``);
+    * ``data`` that is not None (the exact data), a :class:`NoisyData` or one
+      finite value per equation, and policy noise levels that are not one
+      per equation;
+    * a zero row under a row-scope policy, which has no step size.
+
+    ``x0`` and array ``data`` are stored as read-only float arrays, and
+    ``record`` sorted, without repeats and read-only.
+    """
+
+    problem: ProblemInstance
+    policy: StepPolicy
+    n_iters: int
+    data: object = None
+    variant: str = "shb"
+    metric: str = "l2"
+    regularizer: object = None
+    x0: np.ndarray = None
+    record: np.ndarray = None
+
+    def __post_init__(self):
+        problem, policy, reg = self.problem, self.policy, self.regularizer
+        if self.metric not in ("l2", "l1"):
+            raise ValueError("metric must be 'l2' or 'l1'")
+        if self.variant not in VARIANTS:
+            raise ValueError(f"variant must be one of {VARIANTS}")
+        if not self.n_iters >= 0:
+            raise ValueError("iteration count must be nonnegative")
+        if self.record is not None:
+            rec = np.unique(np.asarray(self.record, dtype=int))
+            if rec.size == 0 or rec.min() < 0 or rec.max() > self.n_iters:
+                raise ValueError("recorded indices must lie in [0, n_iters]")
+            rec.setflags(write=False)
+            object.__setattr__(self, "record", rec)
+        if reg is None:
+            if not policy.mu0 < 1:
+                raise ValueError("this solver family needs mu0 < 1")
+            if self.x0 is not None:
+                x0 = _frozen_array(self.x0)
+                if x0.shape != problem.grid.nodes.shape:
+                    raise ValueError("initial guess must be sampled on the grid")
+                if not np.isfinite(x0).all():
+                    raise ValueError("initial guess must be finite")
+                object.__setattr__(self, "x0", x0)
+        else:
+            if self.x0 is not None or self.variant != "shb":
+                raise ValueError("dual runs start at zero with momentum: no x0, no 'sgd' variant")
+            if reg.grid is not problem.grid:
+                raise ValueError("regularizer and problem must share the grid")
+            if not policy.mu0 < 2 * reg.mu:
+                raise ValueError("dual steps need mu0 < 2 * mu for this regularizer")
+        if self.data is not None and not isinstance(self.data, NoisyData):
+            values = _frozen_array(self.data)
+            if not np.isfinite(values).all():
+                raise ValueError("data values must be finite")
+            object.__setattr__(self, "data", values)
+        _, _, y, _, floor = _system(self)  # raises on a row-scope zero row
+        if y.shape != (problem.p,):
+            raise ValueError("data must have one entry per equation")
+        if floor is not None and floor.shape != (problem.p,):
             raise ValueError("policy noise levels must have one entry per equation")
-        floor = policy.tau * policy.per_eq_levels
-    bundle = problem.bundle
-    return bundle.kernel_matrix, bundle.weighted_kernel_matrix, y, base, idx, floor
+
+    def record_points(self):
+        return recorded_iters(self.n_iters) if self.record is None else self.record
 
 
-def _drive(prepared, v, momentum, read_out, observer):
+def _system(spec):
+    """``(K, Kw, y, base, floor)`` of a spec: the kernel matrix and its
+    weighted form, the data vector, the per-equation base steps and the gate
+    floor ``tau * per_eq_levels`` (None for a constant policy)."""
+    bundle, policy = spec.problem.bundle, spec.policy
+    data = spec.data.values if isinstance(spec.data, NoisyData) else spec.data
+    floor = policy.tau * policy.per_eq_levels if policy.is_discrepancy else None
+    return (bundle.kernel_matrix, bundle.weighted_kernel_matrix,
+            spec.problem.exact_data if data is None else data,
+            resolve_base_steps(policy, bundle), floor)
+
+
+def _drive(system, idx, v, momentum, read_out, observer):
     """The step loop of every solver in the package.
 
+    ``system`` is ``(K, Kw, y, base, floor)`` as :func:`_system` builds it.
     ``v`` is the starting variable (the primal iterate, or the dual variable
     of a mirror run) and also starts the accumulator of row corrections.
     Momentum runs replace ``v`` by the running average of itself and the
@@ -307,7 +381,7 @@ def _drive(prepared, v, momentum, read_out, observer):
     elementwise updates), so its iterates are bit-identical to a single run
     along its row of ``idx``, whatever the block size.
     """
-    K, Kw, y, base, idx, floor = prepared
+    K, Kw, y, base, floor = system
     acc = v.copy()
     x = v if read_out is None else read_out(v)
 
@@ -351,21 +425,35 @@ def _drive(prepared, v, momentum, read_out, observer):
     return collected
 
 
-def _primal_start(problem, policy, variant, x0):
-    """Checks of :func:`run` before set-up: returns ``(v, momentum, read_out)``."""
-    if variant not in VARIANTS:
-        raise ValueError(f"variant must be one of {VARIANTS}")
-    if policy.mu0 >= 1:
-        raise ValueError("this solver family needs mu0 < 1")
-    if x0 is None:
-        x = np.zeros(problem.m)
-    else:
-        x = np.array(x0, dtype=float)
-        if x.shape != problem.grid.nodes.shape:
-            raise ValueError("initial guess must be sampled on the grid")
-        if not np.isfinite(x).all():
-            raise ValueError("initial guess must be finite")
-    return x, variant == "shb", None
+def _run_block(spec, idx, observer):
+    """Drive the runs of a checked ``spec`` along the row draws ``idx``: one
+    run along an ``(N,)`` path, or one run per row of an ``(R, N)`` block.
+    Primal runs start at ``x0`` (zero by default), dual runs at a zero dual
+    variable read off through the mirror map."""
+    start, read_out = spec.x0, None
+    if spec.regularizer is not None:
+        # mirror_map is looked up on its module at every call, so a
+        # replacement installed there (the traced benchmark counts its calls)
+        # is the one the loop calls; imported here because mirror imports
+        # this module
+        from . import mirror
+        read_out = functools.partial(mirror.mirror_map, spec.regularizer)
+    if start is None:
+        start = np.zeros(spec.problem.m)
+    v = np.broadcast_to(start, idx.shape[:-1] + start.shape).copy()
+    return _drive(_system(spec), idx, v, spec.variant == "shb", read_out, observer)
+
+
+def _single_path(spec, seed, index_path):
+    """Row draws of a single run: the stream of ``seed``, or ``index_path``
+    checked to be one sequence of rows in ``[0, p)``."""
+    p = spec.problem.p
+    if index_path is None:
+        return index_stream(seed, p, spec.n_iters)
+    idx = np.asarray(index_path, dtype=np.intp)
+    if idx.ndim != 1 or (idx.size and (idx.min() < 0 or idx.max() >= p)):
+        raise ValueError("index path must be one sequence of entries in [0, p)")
+    return idx
 
 
 def run(problem, data, policy, n_iters, seed=0, variant="shb", x0=None, observer=None,
@@ -401,15 +489,13 @@ def run(problem, data, policy, n_iters, seed=0, variant="shb", x0=None, observer
     Raises
     ------
     ValueError
-        On an unknown variant, ``mu0 >= 1``, a negative ``n_iters``, data
-        that is not one finite value per equation, policy noise levels not
-        one per equation, an index path outside ``[0, p)``, or an initial
-        guess that is not a finite vector on the grid.  All checks run
-        before the first step.
+        On every input :class:`RunSpec` rejects, and on an index path that is
+        not one sequence of rows in ``[0, p)``.  All checks run before the
+        first step.
     """
-    v, momentum, read_out = _primal_start(problem, policy, variant, x0)
-    prepared = _prepare(problem, data, policy, n_iters, seed, index_path)
-    return _drive(prepared, v, momentum, read_out, observer)
+    spec = RunSpec(problem=problem, policy=policy, n_iters=n_iters, data=data,
+                   variant=variant, x0=x0)
+    return _run_block(spec, _single_path(spec, seed, index_path), observer)
 
 
 def a_priori_stop(p, total_level):
@@ -419,10 +505,10 @@ def a_priori_stop(p, total_level):
     representation of ``total_level`` (e.g. p = 100, delta = 0.01 must give
     9999, not 10000).
     """
-    if p < 1:
+    if not p >= 1:
         raise ValueError("need at least one equation")
-    if total_level <= 0:
-        raise ValueError("stopping rule needs a positive noise level")
+    if not (0 < total_level < math.inf):
+        raise ValueError("stopping rule needs a positive, finite noise level")
     q = p / float(total_level)
     return int(math.ceil(q * (1.0 - 1e-12))) - 1
 
@@ -444,10 +530,10 @@ class RateConstants:
     def __post_init__(self):
         if not (0 < self.c0 <= 1):
             raise ValueError("step margin c0 must lie in (0, 1]")
-        if self.eta_bar <= 0:
-            raise ValueError("largest step must be positive")
-        if self.m0 < 0:
-            raise ValueError("source energy must be nonnegative")
+        if not (0 < self.eta_bar < math.inf):
+            raise ValueError("largest step must be positive and finite")
+        if not (0 <= self.m0 < math.inf):
+            raise ValueError("source energy must be nonnegative and finite")
 
     @classmethod
     def for_policy(cls, bundle, policy, m0=0.0):

@@ -120,8 +120,7 @@ def test_criterion_03_stability_bound():
     trace = stability_gap_ensemble(problem, data, policy, n_iters=500, n_runs=200,
                                    base_seed=13)
     report = bound_check(
-        trace, lambda n: stability_bound(n, data.total_level, problem.p, constants),
-        slack=0.0)
+        trace, lambda n: stability_bound(n, data.total_level, problem.p, constants))
     _report(3, "noise-propagation bound", report.passed,
             f"{len(report.violations)} violations over {trace.iters.size} points, "
             "zero multiplicative slack", t0, 60.0)
@@ -145,8 +144,7 @@ def test_criterion_04_rate_bound(source_instance):
     instance, policy, constants = source_instance
     spec = RunSpec(problem=instance.problem, policy=policy, n_iters=5000)
     trace = monte_carlo(spec, 200, base_seed=44)
-    report = bound_check(trace, lambda n: rate_bound(n, instance.problem.p, constants),
-                         slack=0.0)
+    report = bound_check(trace, lambda n: rate_bound(n, instance.problem.p, constants))
     window = (trace.iters >= 500) & (trace.iters <= 5000)
     slope = float(np.polyfit(np.log(trace.iters[window]),
                              np.log(trace.mean_sq_rel_err[window]), 1)[0])

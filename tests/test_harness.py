@@ -5,6 +5,7 @@ from shbreg import (
     EnsembleResult,
     Grid,
     OperatorBundle,
+    ProblemInstance,
     Regularizer,
     RowOperator,
     RunSpec,
@@ -23,7 +24,7 @@ from shbreg import (
     stability_gap_ensemble,
     write_csv,
 )
-from shbreg import harness
+from shbreg import harness, solvers
 from shbreg.solvers import resolve_base_steps
 
 
@@ -51,8 +52,8 @@ class TestRecordedIters:
         assert np.all(np.diff(rec[1001:]) == 10)
 
     def test_tail_always_includes_final(self):
-        rec = recorded_iters(1005, dense_until=100, stride=10)
-        assert rec[-1] == 1005
+        rec = recorded_iters(1005)  # 1005 is off the stride of 10
+        assert rec[-2:].tolist() == [1000, 1005]
 
 
 class TestRelErr:
@@ -118,6 +119,46 @@ class TestRunSpec:
             with pytest.raises(ValueError, match="recorded indices"):
                 RunSpec(problem=problem, policy=StepPolicy.constant(0.5), n_iters=9,
                         record=record)
+
+    @pytest.mark.parametrize("case", [
+        "primal-mu0", "dual-mu0-full-scope", "dual-mu0-row-scope", "regularizer-on-other-grid",
+        "x0-wrong-shape", "x0-not-finite", "data-wrong-length", "data-not-finite",
+        "levels-wrong-length", "zero-row"])
+    def test_run_input_rejected_at_construction(self, case, monkeypatch):
+        problem = random_instance(3, 6, seed=35)
+        entropy = Regularizer.entropy_on_simplex(problem.grid)  # mu = 1/2
+        nan = problem.exact_data.copy()
+        nan[1] = np.nan
+        grid = Grid.uniform(0.0, 1.0, 3)
+        zero_row = OperatorBundle(rows=(RowOperator(np.ones(3), grid),
+                                        RowOperator(np.zeros(3), grid)))
+        fields, match = {
+            "primal-mu0": (dict(policy=StepPolicy.constant(1.0)), "mu0"),
+            "dual-mu0-full-scope": (dict(policy=StepPolicy.constant(1.0, norm_scope="full"),
+                                         regularizer=entropy), "mu0"),
+            "dual-mu0-row-scope": (dict(policy=StepPolicy.constant(1.5), regularizer=entropy),
+                                   "mu0"),
+            "regularizer-on-other-grid": (dict(regularizer=Regularizer.entropy_on_simplex(
+                Grid.uniform(0.0, 1.0, 6))), "share the grid"),
+            "x0-wrong-shape": (dict(x0=np.zeros(5)), "sampled on the grid"),
+            "x0-not-finite": (dict(x0=np.full(6, np.inf)), "finite"),
+            "data-wrong-length": (dict(data=problem.exact_data[:-1]), "one entry per equation"),
+            "data-not-finite": (dict(data=nan), "finite"),
+            "levels-wrong-length": (dict(policy=StepPolicy.discrepancy(0.5, 1.0, np.ones(2))),
+                                    "one entry per equation"),
+            "zero-row": (dict(problem=ProblemInstance(
+                name="zero-row", grid=grid, sample_points=np.arange(2.0), bundle=zero_row,
+                truth=np.ones(3), exact_data=zero_row.apply_all(np.ones(3)))), "zero row"),
+        }[case]
+        fields = {"problem": problem, "policy": StepPolicy.constant(0.5), **fields}
+        # checked before an ensemble could start a worker pool
+        monkeypatch.setenv("SHB_THREADS", "2")
+        monkeypatch.setattr(harness, "ProcessPoolExecutor", no_work)
+        with pytest.raises(ValueError, match=match):
+            monte_carlo(RunSpec(n_iters=5, **fields), 4, base_seed=1)
+
+    def test_one_class_under_every_import_path(self):
+        assert RunSpec is harness.RunSpec is solvers.RunSpec
 
     def test_record_normalized_once(self):
         problem = random_instance(2, 6, seed=31)
@@ -359,19 +400,18 @@ class TestBoundCheck:
         trace = make_trace([0], [0.5], truth_norm_sq=4.0)
         assert bound_check(trace, lambda n: 2.0).passed
         assert not bound_check(trace, lambda n: 1.9).passed
-        assert bound_check(trace, lambda n: 1.9, absolute=False).passed
 
     def test_std_err_slack(self):
         trace = make_trace([0], [1.0], std_errs=[0.1])
         assert bound_check(trace, lambda n: 0.7).passed  # 0.7 + 3 * 0.1 = 1.0
         assert not bound_check(trace, lambda n: 0.69).passed
 
-    def test_multiplicative_slack(self):
-        trace = make_trace([0], [1.0])
-        assert not bound_check(trace, lambda n: 0.9).passed
-        assert bound_check(trace, lambda n: 0.9, slack=0.2).passed
-        with pytest.raises(ValueError):
-            bound_check(trace, lambda n: 1.0, slack=-0.1)
+    def test_non_finite_allowance_is_a_violation(self):
+        trace = make_trace([0, 1], [0.0, 0.0])
+        for bad in (np.nan, np.inf):
+            report = bound_check(trace, lambda n: bad if n == 1 else 1.0)
+            assert not report.passed
+            assert [v[0] for v in report.violations] == [1]
 
 
 class TestStabilityGap:

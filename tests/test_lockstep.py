@@ -20,8 +20,8 @@ from shbreg import (
     run,
     run_mirror,
 )
-from shbreg.harness import _error_functional, _run_block, _trace_block
-from shbreg.solvers import _index_block
+from shbreg.harness import _error_functional, _trace_block
+from shbreg.solvers import _index_block, _run_block
 
 
 @st.composite

@@ -6,17 +6,20 @@ import pytest
 from shbreg import (
     Grid,
     Regularizer,
+    RunSpec,
     StepPolicy,
     add_noise,
     bregman_distance,
     build_example2,
     index_stream,
     mirror_map,
+    monte_carlo,
     random_instance,
     rate_envelope,
     run,
     run_mirror,
 )
+from shbreg import mirror as mirror_module
 from shbreg.solvers import resolve_base_steps
 
 from oracle import trajectory
@@ -227,6 +230,33 @@ class TestRunMirror:
             run_mirror(problem, None, quadratic, StepPolicy.constant(2.0), 5)
         run_mirror(problem, None, reg, StepPolicy.constant(0.99), 5)
         run_mirror(problem, None, quadratic, StepPolicy.constant(1.99), 5)
+
+    def test_modulus_must_be_positive_and_finite(self):
+        grid = Grid.uniform(0.0, 1.0, 5)
+        # a NaN modulus would let any mu0 through the budget mu0 < 2 * mu
+        for bad in (0.0, np.nan, np.inf):
+            with pytest.raises(ValueError, match="modulus"):
+                Regularizer(kind="entropy_simplex", grid=grid, mu=bad)
+
+    def test_mirror_map_looked_up_at_call_time(self, monkeypatch):
+        # the traced benchmark counts mirror-map calls through a replacement
+        # installed on the module: single runs and ensembles must call it
+        problem = build_example2(p=12)
+        reg = Regularizer.entropy_on_simplex(problem.grid)
+        policy = StepPolicy.constant(0.9, norm_scope="full")
+        original, shapes = mirror_module.mirror_map, []
+
+        def counting(reg, xi):
+            shapes.append(np.shape(xi))
+            return original(reg, xi)
+
+        monkeypatch.setattr(mirror_module, "mirror_map", counting)
+        run_mirror(problem, None, reg, policy, 4, seed=1)
+        assert shapes == [(problem.m,)] * 5
+        shapes.clear()
+        monte_carlo(RunSpec(problem=problem, policy=policy, n_iters=4, regularizer=reg), 3,
+                    base_seed=1)
+        assert shapes == [(3, problem.m)] * 5
 
     def test_matches_single_dual_steps(self):
         problem = build_example2(p=20)

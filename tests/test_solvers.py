@@ -16,7 +16,6 @@ from shbreg import (
     a_priori_stop,
     add_noise,
     index_stream,
-    monte_carlo,
     random_instance,
     rate_bound,
     run,
@@ -65,11 +64,13 @@ class TestStepPolicy:
             StepPolicy.constant(-0.5)
 
     def test_discrepancy_validation(self):
-        with pytest.raises(ValueError, match="tau"):
-            StepPolicy.discrepancy(0.6, 0.9, np.ones(3))
+        # a NaN tau would make a NaN floor that never gates
+        for tau in (0.9, np.nan, np.inf):
+            with pytest.raises(ValueError, match="tau"):
+                StepPolicy.discrepancy(0.6, tau, np.ones(3))
         with pytest.raises(ValueError, match="levels"):
             StepPolicy(kind="discrepancy", mu0=0.6, tau=1.4)
-        for bad in (-0.1, np.nan):
+        for bad in (-0.1, np.nan, np.inf):
             with pytest.raises(ValueError, match="nonnegative"):
                 StepPolicy.discrepancy(0.6, 1.4, [0.1, bad])
 
@@ -263,8 +264,9 @@ class TestRun:
 
     def test_index_path_validation(self):
         problem = random_instance(3, 6, seed=10)
-        with pytest.raises(ValueError, match="index path"):
-            run(problem, None, StepPolicy.constant(0.5), 5, index_path=np.array([0, 3]))
+        for path in (np.array([0, 3]), np.zeros((2, 3), dtype=int)):
+            with pytest.raises(ValueError, match="index path"):
+                run(problem, None, StepPolicy.constant(0.5), 5, index_path=path)
 
     def test_raw_array_data_accepted(self):
         problem = random_instance(3, 6, seed=13)
@@ -275,7 +277,7 @@ class TestRun:
         with pytest.raises(ValueError, match="one entry per equation"):
             run(problem, shifted[:-1], StepPolicy.constant(0.5), 10)
 
-    def test_non_finite_data_rejected(self, monkeypatch):
+    def test_non_finite_data_rejected(self):
         problem = random_instance(5, 8, seed=16)
         data = problem.exact_data.copy()
         data[3] = np.nan
@@ -286,14 +288,10 @@ class TestRun:
         with pytest.raises(ValueError, match="finite"):
             NoisyData(values=data, per_eq_levels=np.zeros(5), total_level=0.0, rel_level=0.0,
                       seed=0)
-        # an ensemble stops with the run's own error instead of writing NaN
-        # rows to its CSV, serial or pooled
-        spec = RunSpec(problem=problem, policy=StepPolicy.constant(0.5), n_iters=10, data=data)
+        # an ensemble cannot be set up on it: its spec raises before any run
+        # or worker starts, so no NaN row reaches a CSV
         with pytest.raises(ValueError, match="finite"):
-            monte_carlo(spec, 2, base_seed=1)
-        monkeypatch.setenv("SHB_THREADS", "2")
-        with pytest.raises(ValueError, match="finite"):
-            monte_carlo(spec, 2, base_seed=1)
+            RunSpec(problem=problem, policy=StepPolicy.constant(0.5), n_iters=10, data=data)
 
     def test_non_finite_initial_guess_rejected(self):
         problem = random_instance(3, 6, seed=17)
@@ -311,8 +309,9 @@ class TestStopping:
         assert a_priori_stop(100, 0.005) == 19999
 
     def test_invalid_inputs(self):
-        with pytest.raises(ValueError):
-            a_priori_stop(10, 0.0)
+        for level in (0.0, np.nan, np.inf):  # an infinite level gave a budget of -1
+            with pytest.raises(ValueError, match="noise level"):
+                a_priori_stop(10, level)
         with pytest.raises(ValueError):
             a_priori_stop(0, 0.1)
 
@@ -349,8 +348,12 @@ class TestBounds:
     def test_constants_validation(self):
         with pytest.raises(ValueError):
             RateConstants(c0=0.0, eta_bar=1.0)
-        with pytest.raises(ValueError):
-            RateConstants(c0=0.5, eta_bar=1.0, m0=-1.0)
+        for bad in (0.0, np.nan, np.inf):
+            with pytest.raises(ValueError, match="largest step"):
+                RateConstants(c0=0.5, eta_bar=bad)
+        for bad in (-1.0, np.nan, np.inf):
+            with pytest.raises(ValueError, match="source energy"):
+                RateConstants(c0=0.5, eta_bar=1.0, m0=bad)
 
 
 class TestExactDataEnergyDecay:
