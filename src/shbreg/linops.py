@@ -15,9 +15,12 @@ is the row map
 the quadrature approximation of the integral of kappa(s_i, t) x(t) over
 [a, b].  An :class:`OperatorBundle` holds a whole system as its packed kernel
 matrix, which is what the solvers iterate with; the forward map, the adjoint
-and the row and full norms are computed from it and nowhere else.
+and the row and full norms are computed from it and nowhere else, and so is
+the Gram matrix of the rows, whose eigenvectors row-space ensembles step in.
 :class:`RowOperator` is the input record of one row.
 """
+
+import functools
 
 import numpy as np
 from dataclasses import InitVar, dataclass, field
@@ -124,7 +127,9 @@ class OperatorBundle:
     the kernel matrix ``K`` (p x m) and not kept.  The bundle caches ``K``,
     ``K * w`` for the forward map, the squared row norms ``<k_i, k_i>_w``
     (Cauchy-Schwarz is sharp at ``x`` proportional to the row) and
-    ``full_norm_sq = bundle_norm_sq(self)``.
+    ``full_norm_sq = bundle_norm_sq(self)``.  The eigen-decomposition of the
+    Gram matrix, :attr:`gram_eigensystem`, is built on first use, not at
+    construction.
     """
 
     rows: InitVar[tuple]
@@ -165,6 +170,22 @@ class OperatorBundle:
     @property
     def p(self):
         return self.kernel_matrix.shape[0]
+
+    @functools.cached_property
+    def gram_eigensystem(self):
+        """``(lam, V)`` with ``G = V diag(lam) V^T``, ``V`` orthogonal: the
+        eigen-decomposition of the Gram matrix ``G = (K * w) K^T`` (p x p),
+        ``G[i, j] = <k_i, k_j>_w``, eigenvalues ascending.  ``G`` is positive
+        semidefinite, so a negative eigenvalue is rounding and is set to zero.
+        Computed once per bundle, on first use, and read-only."""
+        # one dot product per entry: its bits do not depend on how many
+        # threads the BLAS runs, and no matrix-product buffer is touched
+        G = np.vecdot(self.weighted_kernel_matrix[:, None, :], self.kernel_matrix[None, :, :])
+        lam, V = np.linalg.eigh(0.5 * (G + G.T))
+        lam = np.maximum(lam, 0.0)
+        lam.setflags(write=False)
+        V.setflags(write=False)
+        return lam, V
 
     def apply_all(self, x):
         """Forward map of every row at once: returns the length-p data vector."""

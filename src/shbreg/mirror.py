@@ -38,13 +38,15 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class Regularizer:
     """A strongly convex penalty with a closed-form mirror map.
 
     ``mu`` is the strong-convexity modulus that step-size budgets are checked
     against: dual steps need ``mu0 < 2 * mu`` under either norm scope, so base
     steps stay below ``2 * mu / ||A||^2`` (full) or ``2 * mu / ||A_i||^2`` (row).
+    A quadratic regularizer's center must be a finite vector on the grid.
+    Regularizers compare and hash by identity: the center is an array.
     """
 
     kind: str
@@ -63,6 +65,8 @@ class Regularizer:
             center = np.array(self.x0, dtype=float)
             if center.shape != self.grid.nodes.shape:
                 raise ValueError("center must be sampled on the grid")
+            if not np.isfinite(center).all():
+                raise ValueError("center must be finite")
             center.setflags(write=False)
             object.__setattr__(self, "x0", center)
 

@@ -17,10 +17,18 @@ plain stochastic gradient steps, x_{n+1} = z_{n+1}.  One step loop serves
 both variants and the dual iteration of :mod:`shbreg.mirror`, which runs the
 same recursion on a dual variable and reads the iterate off through a mirror
 map; the direct two-step form is kept only in the tests
-(``tests/oracle.py``), as the reference the loop is checked against.  Regularization comes from stopping early:
-an a-priori rule maps the noise level to an iteration budget, and a
-discrepancy-principle step-size rule freezes updates on equations whose
-residual has dropped to the noise floor.
+(``tests/oracle.py``), as the reference the loop is checked against.
+Regularization comes from stopping early: an a-priori rule maps the noise
+level to an iteration budget, and a discrepancy-principle step-size rule
+freezes updates on equations whose residual has dropped to the noise floor.
+
+Every primal iterate stays in ``x0 + range(K^T)``, so ensembles of primal
+l2 runs with ``2 p <= m`` step the same loop on p-vectors, the spectral row
+coordinates of :func:`_system` (the rule is :func:`_uses_row_space`; the
+error they record is evaluated in :mod:`shbreg.harness`).  Their recorded
+errors agree with the primal path to 1e-9 relative, not bit for bit.
+:func:`run` and :func:`shbreg.mirror.run_mirror` always step ``x`` and are
+the reference of both paths.
 """
 
 import functools
@@ -56,7 +64,7 @@ def step_coefficients(n):
     return 1.0 / (n + 2), n / (n + 2.0)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class StepPolicy:
     """Step-size rule: constant, or gated by the discrepancy principle.
 
@@ -66,6 +74,8 @@ class StepPolicy:
     when a run is set up).  A discrepancy policy additionally zeroes the step
     whenever the drawn equation's residual is at or below ``tau`` times its
     noise level, so converged equations stop injecting noise.
+
+    Policies compare and hash by identity: their noise levels are an array.
     """
 
     kind: str
@@ -107,12 +117,18 @@ class StepPolicy:
 
 
 def resolve_base_steps(policy, bundle):
-    """Per-equation base steps of ``policy`` against a concrete bundle."""
+    """Per-equation base steps of ``policy`` against a concrete bundle.
+
+    Raises ``ValueError`` for a zero row under row scope and for an all-zero
+    kernel under full scope, neither of which has a step size.
+    """
     if policy.norm_scope == "row":
         norms = bundle.row_norms_sq
         if np.any(norms == 0):
             raise ValueError("cannot form a step size for a zero row")
         return policy.mu0 / norms
+    if not bundle.full_norm_sq > 0:
+        raise ValueError("cannot form a full-scope step size for a zero kernel")
     return np.full(bundle.p, policy.mu0 / bundle.full_norm_sq)
 
 
@@ -268,7 +284,7 @@ def recorded_iters(n_iters):
     return np.unique(np.concatenate([np.arange(DENSE_RECORDS + 1), tail, [n_iters]]))
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class RunSpec:
     """Everything one solver run needs, minus its row draws.
 
@@ -288,10 +304,12 @@ class RunSpec:
     * ``data`` that is not None (the exact data), a :class:`NoisyData` or one
       finite value per equation, and policy noise levels that are not one
       per equation;
-    * a zero row under a row-scope policy, which has no step size.
+    * a zero row under a row-scope policy, and an all-zero kernel under a
+      full-scope one, which have no step size.
 
     ``x0`` and array ``data`` are stored as read-only float arrays, and
-    ``record`` sorted, without repeats and read-only.
+    ``record`` sorted, without repeats and read-only.  Specs compare and hash
+    by identity, as their array fields have no single truth value.
     """
 
     problem: ProblemInstance
@@ -340,7 +358,7 @@ class RunSpec:
             if not np.isfinite(values).all():
                 raise ValueError("data values must be finite")
             object.__setattr__(self, "data", values)
-        _, _, y, _, floor = _system(self)  # raises on a row-scope zero row
+        _, _, y, _, floor = _system(self)  # raises where no step size exists
         if y.shape != (problem.p,):
             raise ValueError("data must have one entry per equation")
         if floor is not None and floor.shape != (problem.p,):
@@ -350,33 +368,68 @@ class RunSpec:
         return recorded_iters(self.n_iters) if self.record is None else self.record
 
 
-def _system(spec):
+def _uses_row_space(p, m, metric, regularizer):
+    """Whether ensembles step runs in row space: the rule of the path.
+
+    Every primal iterate is ``x0 + K^T t`` for some ``t`` in R^p (the
+    accumulator has the same form), so an ensemble may step p-vectors
+    instead of the m-vectors ``x``: the spectral coordinates ``s = V^T t``
+    of :func:`_system`, in which the squared l2 error is a sum of p terms.
+    It does for primal runs (no ``regularizer``) with the ``"l2"`` metric
+    when ``2 * p <= m``.  On the raised-cosine example with 10-run,
+    5000-step ensembles, constant and gated, row space broke even between
+    ``2 p = 1.2 m`` and ``1.6 m`` (m = 1000) and near ``2 p = 1.5 m``
+    (m = 400), and was 1.2 to 2 times faster at ``2 p <= m``; the margin
+    also covers the ``O(p^3)`` eigen-decomposition of the Gram matrix, made
+    once per bundle.  The rule looks at the problem's shape and the spec
+    only, never at the number of runs, the block size or ``SHB_THREADS``,
+    so a run takes the same path in every ensemble.  :func:`run` and
+    :func:`shbreg.mirror.run_mirror` always step ``x``: they are the
+    reference the row-space path is checked against.
+    """
+    return regularizer is None and metric == "l2" and 2 * p <= m
+
+
+def _system(spec, row_space=False):
     """``(K, Kw, y, base, floor)`` of a spec: the kernel matrix and its
     weighted form, the data vector, the per-equation base steps and the gate
-    floor ``tau * per_eq_levels`` (None for a constant policy)."""
+    floor ``tau * per_eq_levels`` (None for a constant policy).
+
+    With ``row_space`` the system acts on spectral row coordinates ``s``:
+    ``x = x0 + K^T V s``, where ``G = Kw K^T = V diag(lam) V^T``.  ``K`` is
+    ``V`` (row i holds the coordinates of the i-th unit vector of R^p),
+    ``Kw`` is ``V * lam`` (row i of ``G V``) and ``y`` is ``y - Kw x0``, so
+    row i's residual ``(G V s)[i] - (y - Kw x0)[i]`` is ``Kw[i] x - y[i]``.
+    """
     bundle, policy = spec.problem.bundle, spec.policy
     data = spec.data.values if isinstance(spec.data, NoisyData) else spec.data
+    y = spec.problem.exact_data if data is None else data
     floor = policy.tau * policy.per_eq_levels if policy.is_discrepancy else None
-    return (bundle.kernel_matrix, bundle.weighted_kernel_matrix,
-            spec.problem.exact_data if data is None else data,
-            resolve_base_steps(policy, bundle), floor)
+    base = resolve_base_steps(policy, bundle)
+    if row_space:
+        if spec.x0 is not None:
+            y = y - np.vecdot(bundle.weighted_kernel_matrix, spec.x0)
+        lam, V = bundle.gram_eigensystem
+        return V, V * lam, y, base, floor
+    return bundle.kernel_matrix, bundle.weighted_kernel_matrix, y, base, floor
 
 
 def _drive(system, idx, v, momentum, read_out, observer):
     """The step loop of every solver in the package.
 
     ``system`` is ``(K, Kw, y, base, floor)`` as :func:`_system` builds it.
-    ``v`` is the starting variable (the primal iterate, or the dual variable
-    of a mirror run) and also starts the accumulator of row corrections.
+    ``v`` is the starting variable (the primal iterate, the spectral row
+    coordinates of a row-space run, or the dual variable of a mirror run) and
+    also starts the accumulator of row corrections.
     Momentum runs replace ``v`` by the running average of itself and the
     accumulator; plain-gradient runs take the accumulator itself.  The
     iterate is ``v``, or ``read_out(v)`` when a mirror map is given.  ``v``
     is updated in place, so callers hand over an array of their own.
 
-    A single run has ``v`` of shape ``(m,)`` and row draws ``idx`` of shape
-    ``(N,)``.  A block of R runs has ``v`` of shape ``(R, m)`` and ``idx`` of
+    A single run has ``v`` of shape ``(d,)`` and row draws ``idx`` of shape
+    ``(N,)``.  A block of R runs has ``v`` of shape ``(R, d)`` and ``idx`` of
     shape ``(R, N)``, and the loop steps all of them at once; the observer
-    then sees ``(R, m)`` iterates.  Every run of a block follows the same
+    then sees ``(R, d)`` iterates.  Every run of a block follows the same
     floating-point operations as on its own (one BLAS dot per row, the same
     elementwise updates), so its iterates are bit-identical to a single run
     along its row of ``idx``, whatever the block size.
@@ -425,13 +478,17 @@ def _drive(system, idx, v, momentum, read_out, observer):
     return collected
 
 
-def _run_block(spec, idx, observer):
+def _run_block(spec, idx, observer, row_space=False):
     """Drive the runs of a checked ``spec`` along the row draws ``idx``: one
     run along an ``(N,)`` path, or one run per row of an ``(R, N)`` block.
     Primal runs start at ``x0`` (zero by default), dual runs at a zero dual
-    variable read off through the mirror map."""
+    variable read off through the mirror map.  With ``row_space`` (primal runs
+    only) the runs step their spectral row coordinates ``s`` from zero (see
+    :func:`_system`), and the observer sees ``s``."""
     start, read_out = spec.x0, None
-    if spec.regularizer is not None:
+    if row_space:
+        start = np.zeros(spec.problem.p)
+    elif spec.regularizer is not None:
         # mirror_map is looked up on its module at every call, so a
         # replacement installed there (the traced benchmark counts its calls)
         # is the one the loop calls; imported here because mirror imports
@@ -441,7 +498,7 @@ def _run_block(spec, idx, observer):
     if start is None:
         start = np.zeros(spec.problem.m)
     v = np.broadcast_to(start, idx.shape[:-1] + start.shape).copy()
-    return _drive(_system(spec), idx, v, spec.variant == "shb", read_out, observer)
+    return _drive(_system(spec, row_space), idx, v, spec.variant == "shb", read_out, observer)
 
 
 def _single_path(spec, seed, index_path):

@@ -123,7 +123,7 @@ class TestRunSpec:
     @pytest.mark.parametrize("case", [
         "primal-mu0", "dual-mu0-full-scope", "dual-mu0-row-scope", "regularizer-on-other-grid",
         "x0-wrong-shape", "x0-not-finite", "data-wrong-length", "data-not-finite",
-        "levels-wrong-length", "zero-row"])
+        "levels-wrong-length", "zero-row", "zero-kernel-full-scope"])
     def test_run_input_rejected_at_construction(self, case, monkeypatch):
         problem = random_instance(3, 6, seed=35)
         entropy = Regularizer.entropy_on_simplex(problem.grid)  # mu = 1/2
@@ -132,6 +132,7 @@ class TestRunSpec:
         grid = Grid.uniform(0.0, 1.0, 3)
         zero_row = OperatorBundle(rows=(RowOperator(np.ones(3), grid),
                                         RowOperator(np.zeros(3), grid)))
+        zero_kernel = OperatorBundle(rows=(RowOperator(np.zeros(3), grid),) * 2)
         fields, match = {
             "primal-mu0": (dict(policy=StepPolicy.constant(1.0)), "mu0"),
             "dual-mu0-full-scope": (dict(policy=StepPolicy.constant(1.0, norm_scope="full"),
@@ -149,6 +150,10 @@ class TestRunSpec:
             "zero-row": (dict(problem=ProblemInstance(
                 name="zero-row", grid=grid, sample_points=np.arange(2.0), bundle=zero_row,
                 truth=np.ones(3), exact_data=zero_row.apply_all(np.ones(3)))), "zero row"),
+            "zero-kernel-full-scope": (dict(problem=ProblemInstance(
+                name="zero-kernel", grid=grid, sample_points=np.arange(2.0), bundle=zero_kernel,
+                truth=np.ones(3), exact_data=np.zeros(2)),
+                policy=StepPolicy.constant(0.5, norm_scope="full")), "zero kernel"),
         }[case]
         fields = {"problem": problem, "policy": StepPolicy.constant(0.5), **fields}
         # checked before an ensemble could start a worker pool
@@ -159,6 +164,18 @@ class TestRunSpec:
 
     def test_one_class_under_every_import_path(self):
         assert RunSpec is harness.RunSpec is solvers.RunSpec
+
+    def test_equality_and_hash_are_identity(self):
+        problem = random_instance(2, 6, seed=36)
+        levels = np.full(2, 0.1)
+        pairs = [(lambda: StepPolicy.discrepancy(0.5, 1.2, levels)),
+                 (lambda: Regularizer.quadratic(problem.grid, np.zeros(6))),
+                 (lambda: RunSpec(problem=problem, policy=StepPolicy.constant(0.5), n_iters=5,
+                                  data=problem.exact_data, x0=np.zeros(6)))]
+        for make in pairs:
+            a, b = make(), make()
+            assert a == a and a != b
+            assert hash(a) == hash(a) and len({a, b}) == 2
 
     def test_record_normalized_once(self):
         problem = random_instance(2, 6, seed=31)
@@ -186,7 +203,11 @@ class TestMonteCarlo:
             errors = run(problem, data, policy, 30, seed=(5, 0), x0=start,
                          observer=lambda n, x: rel_err_sq(x, problem.truth, problem.grid,
                                                           metric))
-            np.testing.assert_array_equal(result.mean_sq_rel_err, np.asarray(errors))
+            if metric == "l2":
+                # 2p <= m: the ensemble steps row coordinates, to a stated tolerance
+                np.testing.assert_allclose(result.mean_sq_rel_err, errors, rtol=1e-9, atol=0)
+            else:
+                np.testing.assert_array_equal(result.mean_sq_rel_err, np.asarray(errors))
 
     def test_single_equation_has_no_spread(self):
         problem = random_instance(1, 8, seed=21)
@@ -278,7 +299,11 @@ class TestEnumeration:
             trace = run(problem, None, policy, 8, x0=start,
                         observer=lambda n, x: rel_err_sq(x, problem.truth, problem.grid,
                                                          metric))
-            np.testing.assert_array_equal(exact, np.asarray(trace))
+            if metric == "l2":
+                # 2p <= m: the paths step row coordinates, to a stated tolerance
+                np.testing.assert_allclose(exact, trace, rtol=1e-9, atol=0)
+            else:
+                np.testing.assert_array_equal(exact, np.asarray(trace))
 
     def test_zero_steps(self):
         problem = random_instance(3, 6, seed=31)
@@ -463,3 +488,30 @@ class TestCsv:
         assert lines[0] == "iter,mean_sq_rel_err,std_err"
         assert lines[1] == "0,1.250000000000e+00,0.000000000000e+00"
         assert lines[2] == "10,5.000000000000e-01,1.250000000000e-01"
+
+    def test_rewrite_of_same_bytes_is_skipped(self, tmp_path, monkeypatch):
+        trace = make_trace([0, 10], [1.25, 0.5], std_errs=[0.0, 0.125])
+        path = tmp_path / "trace.csv"
+        path.write_bytes(b"stale contents that are longer than the trace itself\n" * 4)
+        write_csv(trace, path)
+        expected = path.read_bytes()
+        assert expected == (b"iter,mean_sq_rel_err,std_err\n"
+                            b"0,1.250000000000e+00,0.000000000000e+00\n"
+                            b"10,5.000000000000e-01,1.250000000000e-01\n")
+        # a rerun finds its bytes on disk and does not open the file for writing
+        real_open = open
+        modes = []
+
+        def spy(file, mode="r", *args, **kwargs):
+            modes.append(mode)
+            return real_open(file, mode, *args, **kwargs)
+
+        monkeypatch.setattr("builtins.open", spy)
+        write_csv(trace, path)
+        assert modes and not any(set(mode) & set("wax+") for mode in modes)
+        assert path.read_bytes() == expected
+        # a file that holds these bytes and more is rewritten
+        monkeypatch.undo()
+        path.write_bytes(expected + b"1,2,3\n")
+        write_csv(trace, path)
+        assert path.read_bytes() == expected

@@ -1,9 +1,20 @@
-"""Lockstep blocks of runs against the serial reference, bit for bit.
+"""Lockstep blocks of runs against the serial reference.
 
 A block of R runs steps through the same loop as R single ``run`` /
 ``run_mirror`` calls; every row must equal its single run exactly
 (``np.array_equal``), and so must every split of the runs into blocks.
+
+Ensembles of primal l2 runs with ``2 p <= m`` step spectral row coordinates
+instead (``solvers._uses_row_space``).  Their recorded errors must stay within
+``REL_TOL`` relative of the single runs' errors, make the same gate decisions
+except at draws whose primal residual lies within ``REL_TOL`` relative of its
+floor (see :func:`first_tie`; after such a draw the two trajectories may
+part, and values are not compared), and stay bit-identical across every
+split of the runs into blocks and across worker counts.
 """
+
+import os
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -15,28 +26,37 @@ from shbreg import (
     StepPolicy,
     add_noise,
     mirror_map,
+    monte_carlo,
     random_instance,
     rel_err_sq,
     run,
     run_mirror,
+    source_condition_construct,
 )
+from shbreg import harness
 from shbreg.harness import _error_functional, _trace_block
-from shbreg.solvers import _index_block, _run_block
+from shbreg.solvers import _index_block, _run_block, _system, _uses_row_space
+
+# the row-space contract: the relative gap to the primal path, and the
+# relative distance to its floor within which a residual may gate either way
+REL_TOL = 1e-9
 
 
 @st.composite
-def block_cases(draw):
+def block_cases(draw, gated_row_space=False):
     """A small instance, a spec over one of the six run modes, and a block
-    of row draws with a split of its runs."""
+    of row draws with a split of its runs; with ``gated_row_space`` the spec
+    is a gated one that ensembles step in row space."""
     p = draw(st.integers(1, 4))
-    m = draw(st.integers(2, 9))
+    m = draw(st.integers(2 * p if gated_row_space else 2, 9))
     problem = random_instance(p, m, seed=draw(st.integers(0, 10**6)))
     data = add_noise(problem, draw(st.sampled_from([0.0, 0.05, 0.3])),
                      seed=draw(st.integers(0, 10**6)))
-    mode = draw(st.sampled_from(["shb", "sgd", "shb-x0", "sgd-x0", "entropy", "quadratic"]))
+    modes = ["shb", "sgd", "shb-x0", "sgd-x0"]
+    mode = draw(st.sampled_from(modes if gated_row_space else modes + ["entropy", "quadratic"]))
     scope = "full" if mode == "entropy" else "row"
     mu0 = draw(st.floats(0.05, 0.95))
-    if draw(st.booleans()):
+    if gated_row_space or draw(st.booleans()):
         # noise levels scaled up so that draws land on both sides of the gate
         levels = data.per_eq_levels + draw(st.floats(0.0, 2.0))
         policy = StepPolicy.discrepancy(mu0, draw(st.floats(1.0, 2.0)), levels,
@@ -50,10 +70,11 @@ def block_cases(draw):
         reg = Regularizer.entropy_on_simplex(problem.grid)
     elif mode == "quadratic":
         reg, x0 = Regularizer.quadratic(problem.grid, x0), None
-    n_iters = draw(st.integers(0, 12))
+    # short runs, and runs whose records fill more than one row-space chunk
+    n_iters = draw(st.one_of(st.integers(0, 12), st.integers(60, 150)))
     spec = RunSpec(problem=problem, policy=policy, n_iters=n_iters, data=data,
                    variant=mode[:3] if reg is None else "shb", x0=x0, regularizer=reg,
-                   metric=draw(st.sampled_from(["l2", "l1"])))
+                   metric="l2" if gated_row_space else draw(st.sampled_from(["l2", "l1"])))
     runs = draw(st.integers(1, 6))
     base_seed = draw(st.integers(0, 10**6))
     cuts = sorted(draw(st.lists(st.integers(0, runs), max_size=3)))
@@ -69,6 +90,31 @@ def single(spec, path):
                index_path=path)
 
 
+def in_row_space(spec):
+    problem = spec.problem
+    return _uses_row_space(problem.p, problem.m, spec.metric, spec.regularizer)
+
+
+def first_tie(spec, path, iterates):
+    """Step of the first draw along ``path`` whose primal residual, at the
+    single run's ``iterates``, lies within REL_TOL relative of its gate
+    floor; ``len(path)`` when there is none.
+
+    Relative means against the floor plus the size of the residual's terms,
+    ``|Kw[i]| |x| + |y[i]|``: a zero floor gates only a residual of exactly
+    zero, which one path may reach while the other stops at rounding level.
+    """
+    if not spec.policy.is_discrepancy:
+        return len(path)
+    _, Kw, y, _, floor = _system(spec)
+    for n, i in enumerate(path):
+        x = iterates[n]
+        scale = floor[i] + np.abs(Kw[i]) @ np.abs(x) + abs(y[i])
+        if abs(abs(Kw[i] @ x - y[i]) - floor[i]) <= REL_TOL * scale:
+            return n
+    return len(path)
+
+
 @settings(max_examples=120, deadline=None)
 @given(block_cases())
 def test_block_rows_equal_single_runs(case):
@@ -82,6 +128,13 @@ def test_block_rows_equal_single_runs(case):
         if hi > lo:
             part = np.array(_run_block(spec, idx[lo:hi], None))
             assert np.array_equal(part, block[:, lo:hi])
+    if in_row_space(spec):
+        # row coordinates are as exact
+        rows = np.array(_run_block(spec, idx, None, row_space=True))
+        assert rows.shape == (spec.n_iters + 1, runs, spec.problem.p)
+        for r in range(runs):
+            assert np.array_equal(rows[:, r],
+                                  np.array(_run_block(spec, idx[r], None, row_space=True)))
 
 
 @settings(max_examples=60, deadline=None)
@@ -93,12 +146,104 @@ def test_block_errors_equal_single_run_errors(case):
     rec = spec.record_points()
     for r in range(runs):
         path = _index_block(base_seed, r, r + 1, problem.p, spec.n_iters)[0]
-        errors = [rel_err_sq(x, problem.truth, problem.grid, spec.metric)
-                  for x in single(spec, path)]
-        assert np.array_equal(traces[r], np.asarray(errors)[rec])
+        iterates = single(spec, path)
+        errors = np.array([rel_err_sq(x, problem.truth, problem.grid, spec.metric)
+                           for x in iterates])[rec]
+        if in_row_space(spec):
+            # the stated tolerance, up to the first draw that may gate either way
+            kept = rec <= first_tie(spec, path, iterates)
+            np.testing.assert_allclose(traces[r][kept], errors[kept], rtol=REL_TOL, atol=0)
+        else:
+            assert np.array_equal(traces[r], errors)
     parts = [_trace_block(spec, base_seed, lo, hi)
              for lo, hi in zip(bounds[:-1], bounds[1:]) if hi > lo]
     assert np.array_equal(np.vstack(parts), traces)
+
+
+@settings(max_examples=60, deadline=None)
+@given(block_cases(gated_row_space=True))
+def test_row_space_gates_like_primal(case):
+    spec, runs, base_seed, _ = case
+    assert in_row_space(spec) and spec.policy.is_discrepancy
+    _, Kw, y, _, floor = _system(spec)
+    _, Kw_rows, y_rows, _, _ = _system(spec, row_space=True)
+    idx = _index_block(base_seed, 0, runs, spec.problem.p, spec.n_iters)
+    rows = _run_block(spec, idx, None, row_space=True)
+    for r, path in enumerate(idx):
+        iterates = single(spec, path)
+        for n in range(first_tie(spec, path, iterates)):
+            i = path[n]
+            assert ((abs(Kw[i] @ iterates[n] - y[i]) <= floor[i])
+                    == (abs(Kw_rows[i] @ rows[n][r] - y_rows[i]) <= floor[i]))
+
+
+@settings(max_examples=8, deadline=None)
+@given(block_cases())
+def test_ensembles_do_not_depend_on_worker_count(case):
+    spec, runs, base_seed, _ = case
+    results = []
+    for threads in ("1", "2"):
+        with mock.patch.dict(os.environ, {"SHB_THREADS": threads}):
+            results.append(monte_carlo(spec, runs, base_seed))
+    assert np.array_equal(results[0].mean_sq_rel_err, results[1].mean_sq_rel_err)
+    assert np.array_equal(results[0].std_err, results[1].std_err)
+
+
+def test_row_space_ensembles_do_not_depend_on_blocks(monkeypatch):
+    problem = random_instance(3, 10, seed=61)
+    data = add_noise(problem, 0.1, seed=62)
+    policy = StepPolicy.discrepancy(0.7, 1.2, data.per_eq_levels)
+    spec = RunSpec(problem=problem, policy=policy, n_iters=300, data=data,
+                   x0=np.linspace(-1.0, 1.0, 10))
+    assert in_row_space(spec)
+    whole = _trace_block(spec, 8, 0, 7)
+    for bounds in ([0, 1, 7], [0, 3, 4, 7], list(range(8))):
+        parts = [_trace_block(spec, 8, lo, hi) for lo, hi in zip(bounds[:-1], bounds[1:])]
+        assert np.array_equal(np.vstack(parts), whole)
+    monkeypatch.setattr(harness, "BLOCK_ELEMENTS", 1)  # one run per block
+    assert np.array_equal(_trace_block(spec, 8, 0, 7), whole)
+    monkeypatch.undo()
+    serial = monte_carlo(spec, 7, base_seed=8)
+    monkeypatch.setenv("SHB_THREADS", "2")
+    pooled = monte_carlo(spec, 7, base_seed=8)
+    assert np.array_equal(serial.mean_sq_rel_err, pooled.mean_sq_rel_err)
+    assert np.array_equal(serial.std_err, pooled.std_err)
+
+
+def test_path_rule():
+    entropy = Regularizer.entropy_on_simplex(random_instance(1, 400, seed=1).grid)
+    assert _uses_row_space(200, 400, "l2", None)
+    assert _uses_row_space(1, 2, "l2", None)
+    assert not _uses_row_space(201, 400, "l2", None)
+    assert not _uses_row_space(200, 400, "l1", None)
+    assert not _uses_row_space(200, 400, "l2", entropy)
+
+
+def test_cancellation_guard_recomputes_small_errors(monkeypatch):
+    problem = random_instance(3, 12, seed=8)
+    policy = StepPolicy.constant(0.6)
+    # a truth in the range of the adjoint and exact data: the error falls
+    # toward zero, far below its start
+    instance = source_condition_construct(problem.bundle, np.array([1.0, -0.5, 0.3]), None,
+                                          policy)
+    problem = instance.problem
+    spec = RunSpec(problem=problem, policy=policy, n_iters=10000,
+                   record=np.arange(0, 10001, 250))
+    assert in_row_space(spec)
+    guarded = _trace_block(spec, 3, 0, 2)
+    monkeypatch.setattr(harness, "CANCELLATION", 0.0)
+    spectral = _trace_block(spec, 3, 0, 2)
+    # values the guard recomputed differ from their spectral form in the
+    # last digits; all others are the spectral form itself
+    recomputed = guarded != spectral
+    assert recomputed.any() and np.all(spectral[recomputed] < 1.001e-4)
+    assert np.array_equal(guarded[~recomputed], spectral[~recomputed])
+    for r in range(2):
+        path = _index_block(3, r, r + 1, problem.p, spec.n_iters)[0]
+        errors = run(problem, None, policy, 0, index_path=path,
+                     observer=lambda n, x: rel_err_sq(x, problem.truth, problem.grid))
+        np.testing.assert_allclose(guarded[r], np.asarray(errors)[spec.record_points()],
+                                   rtol=REL_TOL, atol=0)
 
 
 def test_mirror_map_maps_rows_on_their_own():

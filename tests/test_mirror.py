@@ -238,6 +238,15 @@ class TestRunMirror:
             with pytest.raises(ValueError, match="modulus"):
                 Regularizer(kind="entropy_simplex", grid=grid, mu=bad)
 
+    def test_quadratic_center_must_be_finite(self):
+        grid = Grid.uniform(0.0, 1.0, 6)
+        # a NaN center used to build, pass RunSpec and fail mid-run
+        for bad in (np.nan, np.inf, -np.inf):
+            center = np.zeros(6)
+            center[2] = bad
+            with pytest.raises(ValueError, match="center must be finite"):
+                Regularizer.quadratic(grid, center)
+
     def test_mirror_map_looked_up_at_call_time(self, monkeypatch):
         # the traced benchmark counts mirror-map calls through a replacement
         # installed on the module: single runs and ensembles must call it
